@@ -15,7 +15,6 @@ from .diagonal import (
 from .errors import (
     CertificateInvalid,
     DenseCapExceeded,
-    Infeasible,
     InfeasibleRecord,
     NonPhysicalSpectrum,
     NonUnitTrace,

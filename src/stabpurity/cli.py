@@ -358,10 +358,6 @@ def _resolve_graph(spec: str) -> GraphSpec:
     return GraphSpec.preset(spec)
 
 
-def _round4(x: float) -> float:
-    return round(x, 4)
-
-
 def reference_table_rows() -> list[dict]:
     """Exact and estimated purity/entropy for dephased path graphs, n = 2..4.
 
@@ -383,8 +379,8 @@ def reference_table_rows() -> list[dict]:
             ("purity", exact_p, est_p, PURITY_REFERENCE[n]),
             ("entropy", exact_s, est_s, ENTROPY_REFERENCE[n]),
         ):
-            rounded_exact, rounded_est = _round4(exact), _round4(est)
-            deviation = _round4((rounded_exact - rounded_est) / rounded_exact)
+            rounded_exact, rounded_est = round(exact, 4), round(est, 4)
+            deviation = round((rounded_exact - rounded_est) / rounded_exact, 4)
             row[name] = {
                 "exact": exact,
                 "estimated": est,
@@ -425,29 +421,43 @@ def _optimality_floor(n: int) -> float:
     return max(0.7, n / (n + 2))
 
 
+def _qp_gap(record: MeasurementRecord) -> float:
+    """Closed-form p_min minus the numeric QP optimum (signed)."""
+    return min_purity(record).p_min - qp_min_purity(record).objective
+
+
+def _entropy_gap(record: MeasurementRecord) -> float:
+    """|closed-form S_max - numeric maximum entropy|."""
+    return abs(entropy_max(record) - max_entropy_numeric(record)[1])
+
+
+def _integrator_dev(n: int, gamma_t: float) -> float:
+    """Largest coefficient deviation of the integrated dephased path-n from the closed form."""
+    graph = GraphSpec.preset(f"path-{n}")
+    rho = master_equation_evolve(graph, gamma=1.0, t=gamma_t)
+    closed = dephased_coefficients(graph, NoiseParams.from_gamma_t(gamma_t))
+    return float(np.abs(twirl(rho, graph).values - closed.values).max())
+
+
 def run_oracle_trials(trials: int, n_min: int, n_max: int, seed: int) -> dict:
     """Randomized closed-form vs numeric comparisons; returns the summary."""
     rng = np.random.default_rng(seed)
-    qp_max = 0.0
-    ent_max = 0.0
-    qp_failure = None
-    ent_failure = None
+    worst = {"qp": 0.0, "entropy": 0.0, "integrator": 0.0}
+    failures = {}
+
+    def note(kind: str, gap: float, tolerance: float, **instance) -> None:
+        if gap > worst[kind]:
+            worst[kind] = gap
+            if gap > tolerance:
+                failures.setdefault(kind, {"kind": kind, **instance, "gap": gap})
+
     band = {"count": 0, "max_closed_minus_qp": 0.0, "qp_above_closed": 0}
     for trial in range(trials):
         n = n_min + trial % (n_max - n_min + 1)
         a = rng.uniform(_optimality_floor(n), 1.0, size=n)
         record = MeasurementRecord(n, a)
-        gap = abs(min_purity(record).p_min - qp_min_purity(record).objective)
-        if gap > qp_max:
-            qp_max = gap
-            if gap > QP_TOLERANCE and qp_failure is None:
-                qp_failure = {"kind": "qp", "n": n, "a": a.tolist(), "gap": gap}
-        _, s_numeric = max_entropy_numeric(record)
-        sgap = abs(entropy_max(record) - s_numeric)
-        if sgap > ent_max:
-            ent_max = sgap
-            if sgap > ENTROPY_TOLERANCE and ent_failure is None:
-                ent_failure = {"kind": "entropy", "n": n, "a": a.tolist(), "gap": sgap}
+        note("qp", abs(_qp_gap(record)), QP_TOLERANCE, n=n, a=a.tolist())
+        note("entropy", _entropy_gap(record), ENTROPY_TOLERANCE, n=n, a=a.tolist())
 
         # informational probe: feasible records outside the optimality domain
         lo = rng.uniform(0.0, 0.45, size=n)
@@ -456,46 +466,35 @@ def run_oracle_trials(trials: int, n_min: int, n_max: int, seed: int) -> dict:
         probe_record = MeasurementRecord(n, probe)
         if not closed_form_is_optimal(probe_record):
             band["count"] += 1
-            diff = min_purity(probe_record).p_min - qp_min_purity(probe_record).objective
-            band["max_closed_minus_qp"] = max(band["max_closed_minus_qp"], float(diff))
+            diff = _qp_gap(probe_record)
+            band["max_closed_minus_qp"] = max(band["max_closed_minus_qp"], diff)
             if diff < -1e-9:
                 band["qp_above_closed"] += 1
 
-    integ_max = 0.0
-    integ_failure = None
     integ_ns = [n for n in range(n_min, n_max + 1) if n <= 4]
     gamma_ts = [0.05, 0.1, 0.5] if trials > 0 else []
     for n in integ_ns:
-        graph = GraphSpec.preset(f"path-{n}")
         for gt in gamma_ts:
-            noise = NoiseParams.from_gamma_t(gt)
-            rho = master_equation_evolve(graph, gamma=1.0, t=gt)
-            dev = float(
-                np.abs(twirl(rho, graph).values - dephased_coefficients(graph, noise).values).max()
-            )
-            if dev > integ_max:
-                integ_max = dev
-                if dev > INTEGRATOR_TOLERANCE and integ_failure is None:
-                    integ_failure = {"kind": "integrator", "n": n, "gamma_t": gt, "gap": dev}
+            note("integrator", _integrator_dev(n, gt), INTEGRATOR_TOLERANCE, n=n, gamma_t=gt)
 
     summary = {
         "trials": trials,
         "n_min": n_min,
         "n_max": n_max,
         "seed": seed,
-        "qp": {"max_abs_gap": qp_max, "tolerance": QP_TOLERANCE, "ok": qp_max <= QP_TOLERANCE},
-        "entropy": {"max_abs_gap": ent_max, "tolerance": ENTROPY_TOLERANCE, "ok": ent_max <= ENTROPY_TOLERANCE},
+        "qp": {"max_abs_gap": worst["qp"], "tolerance": QP_TOLERANCE, "ok": worst["qp"] <= QP_TOLERANCE},
+        "entropy": {"max_abs_gap": worst["entropy"], "tolerance": ENTROPY_TOLERANCE, "ok": worst["entropy"] <= ENTROPY_TOLERANCE},
         "integrator": {
-            "max_abs_dev": integ_max,
+            "max_abs_dev": worst["integrator"],
             "tolerance": INTEGRATOR_TOLERANCE,
-            "ok": integ_max <= INTEGRATOR_TOLERANCE,
+            "ok": worst["integrator"] <= INTEGRATOR_TOLERANCE,
             "path_sizes": integ_ns,
             "gamma_t_values": gamma_ts,
         },
         "suboptimal_band": band,
     }
     summary["ok"] = summary["qp"]["ok"] and summary["entropy"]["ok"] and summary["integrator"]["ok"]
-    summary["failure"] = qp_failure or ent_failure or integ_failure
+    summary["failure"] = failures.get("qp") or failures.get("entropy") or failures.get("integrator")
     return summary
 
 
@@ -503,20 +502,13 @@ def replay_instance(doc: dict) -> dict:
     """Recompute the deviation of a serialized failing instance."""
     kind = doc.get("kind")
     if kind == "qp":
-        record = MeasurementRecord(doc["n"], np.array(doc["a"]))
-        gap = abs(min_purity(record).p_min - qp_min_purity(record).objective)
+        gap = abs(_qp_gap(MeasurementRecord(doc["n"], np.array(doc["a"]))))
         tolerance = QP_TOLERANCE
     elif kind == "entropy":
-        record = MeasurementRecord(doc["n"], np.array(doc["a"]))
-        gap = abs(entropy_max(record) - max_entropy_numeric(record)[1])
+        gap = _entropy_gap(MeasurementRecord(doc["n"], np.array(doc["a"])))
         tolerance = ENTROPY_TOLERANCE
     elif kind == "integrator":
-        graph = GraphSpec.preset(f"path-{doc['n']}")
-        noise = NoiseParams.from_gamma_t(doc["gamma_t"])
-        rho = master_equation_evolve(graph, gamma=1.0, t=doc["gamma_t"])
-        gap = float(
-            np.abs(twirl(rho, graph).values - dephased_coefficients(graph, noise).values).max()
-        )
+        gap = _integrator_dev(doc["n"], doc["gamma_t"])
         tolerance = INTEGRATOR_TOLERANCE
     else:
         raise MalformedInput("kind", f"unknown instance kind {kind!r}")

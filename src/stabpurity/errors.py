@@ -54,10 +54,6 @@ class CertificateInvalid(StabPurityError):
         )
 
 
-class Infeasible(StabPurityError):
-    """The numeric solver's constraint set is empty."""
-
-
 class NotConverged(StabPurityError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 

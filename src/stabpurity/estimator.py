@@ -9,7 +9,10 @@ data is stabilizer-diagonal with coefficients
 whose spectrum consists of lambda_0 = (sum_k a_k - n + 2) / 2, the n values
 (1 - a_k) / 2 at the single-bit indices, and zeros elsewhere.  Everything the
 estimator reports is therefore O(n); full 2^n vectors are materialized only
-for certificate checking under the dense cap.
+for certificate checking under the dense cap.  That spectrum is derived in
+one place, :func:`_spectrum`; purity, error bars, entropy and certificate all
+read it from there (through :func:`_feasible_spectrum` where the gate below
+applies).
 
 The candidate is a valid state iff lambda_0 >= 0, which is the hard
 feasibility gate.  It is the true optimum iff every inequality multiplier is
@@ -52,13 +55,13 @@ class MeasurementRecord:
         a = np.atleast_1d(np.array(self.a, dtype=float))
         if a.shape != (self.n,):
             raise ValueError(f"a must have length {self.n}, got shape {a.shape}")
-        if np.any(np.abs(a) > 1.0):
+        if not np.all(np.abs(a) <= 1.0):  # NaN fails this comparison too
             raise ValueError("every a_k must lie in [-1, 1]")
         delta = self.delta_a
         delta = np.zeros(self.n) if delta is None else np.atleast_1d(np.array(delta, float))
         if delta.shape != (self.n,):
             raise ValueError(f"delta_a must have length {self.n}, got shape {delta.shape}")
-        if np.any(delta < 0.0):
+        if not np.all(delta >= 0.0):
             raise ValueError("uncertainties must be nonnegative")
         a.setflags(write=False)
         delta.setflags(write=False)
@@ -87,7 +90,6 @@ class PurityEstimate:
     p_upper: Optional[float]
     lambda0: float
     spectrum_summary: SpectrumSummary
-    feasible: bool = True
     warnings: tuple = ()
 
 
@@ -150,15 +152,23 @@ def _require_normalized(record: MeasurementRecord) -> None:
         raise ValueError("record has negative expectations; run normalize_signs first")
 
 
-def _lambda0(record: MeasurementRecord) -> float:
-    return (float(record.a.sum()) - record.n + 2.0) / 2.0
+def _spectrum(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """lambda_0 and the single-bit eigenvalues (1 - a_k)/2 of the closed form."""
+    n = a.size
+    return (float(a.sum()) - n + 2.0) / 2.0, (1.0 - a) / 2.0
 
 
-def _require_feasible(record: MeasurementRecord) -> float:
-    lam0 = _lambda0(record)
+def _purity(lam0: float, singles: np.ndarray) -> float:
+    return lam0 * lam0 + float(np.dot(singles, singles))
+
+
+def _feasible_spectrum(record: MeasurementRecord) -> tuple[float, np.ndarray]:
+    """The record's spectrum with lambda_0 clipped at 0; raises InfeasibleRecord below the gate."""
+    _require_normalized(record)
+    lam0, singles = _spectrum(record.a)
     if lam0 < -_EXACT_TOL:
         raise InfeasibleRecord(lam0, record.n)
-    return max(lam0, 0.0)
+    return max(lam0, 0.0), singles
 
 
 def closed_form_is_optimal(record: MeasurementRecord) -> bool:
@@ -194,8 +204,7 @@ def pairwise_sums_ok(record: MeasurementRecord, graph: Optional[GraphSpec] = Non
 
 def min_purity_coefficients(record: MeasurementRecord, cap: int = DENSE_CAP) -> CoeffVector:
     """Full 2^n coefficient vector of the least-purity state (n <= cap only)."""
-    _require_normalized(record)
-    _require_feasible(record)
+    _feasible_spectrum(record)
     if record.n > cap:
         raise DenseCapExceeded(record.n, cap, "coefficient vector")
     c = np.ones(1 << record.n)
@@ -205,26 +214,18 @@ def min_purity_coefficients(record: MeasurementRecord, cap: int = DENSE_CAP) -> 
     return CoeffVector(record.n, c)
 
 
-def _closed_form_value(a: np.ndarray, n: int) -> float:
-    lam0 = (float(a.sum()) - n + 2.0) / 2.0
-    singles = (1.0 - a) / 2.0
-    return lam0 * lam0 + float(np.dot(singles, singles))
-
-
 def purity_error_bars(record: MeasurementRecord) -> tuple[Optional[float], Optional[float]]:
     """Closed-form purity at the shifted records a -+ delta_a, clipped to [0, 1].
 
     The upward shift always stays feasible when the record is; the downward
     shift may not be, in which case its bound is reported as None.
     """
-    _require_normalized(record)
-    _require_feasible(record)
-    n = record.n
-    upper = _closed_form_value(np.clip(record.a + record.delta_a, 0.0, 1.0), n)
-    lo = np.clip(record.a - record.delta_a, 0.0, 1.0)
-    if (float(lo.sum()) - n + 2.0) / 2.0 < -_EXACT_TOL:
+    _feasible_spectrum(record)
+    upper = _purity(*_spectrum(np.clip(record.a + record.delta_a, 0.0, 1.0)))
+    lam0, singles = _spectrum(np.clip(record.a - record.delta_a, 0.0, 1.0))
+    if lam0 < -_EXACT_TOL:
         return None, upper
-    return _closed_form_value(lo, n), upper
+    return _purity(lam0, singles), upper
 
 
 def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> PurityEstimate:
@@ -234,10 +235,8 @@ def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> 
     p_min is its sum of squares.  Raises InfeasibleRecord when lambda_0 < 0.
     A graph, if supplied, restricts the pairwise-sum warning to its edges.
     """
-    _require_normalized(record)
-    lam0 = _require_feasible(record)
-    singles = (1.0 - record.a) / 2.0
-    p_min = lam0 * lam0 + float(np.dot(singles, singles))
+    lam0, singles = _feasible_spectrum(record)
+    p_min = _purity(lam0, singles)
     p_lower, p_upper = purity_error_bars(record)
 
     warnings = []
@@ -255,7 +254,7 @@ def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> 
 
     summary = SpectrumSummary(
         lambda0=lam0,
-        singles=tuple(float(s) for s in singles),
+        singles=tuple(singles.tolist()),
         zero_multiplicity=(1 << record.n) - record.n - 1,
     )
     return PurityEstimate(
@@ -264,17 +263,8 @@ def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> 
         p_upper=p_upper,
         lambda0=lam0,
         spectrum_summary=summary,
-        feasible=True,
         warnings=tuple(warnings),
     )
-
-
-def _closed_form_spectrum_vector(record: MeasurementRecord) -> np.ndarray:
-    lam = np.zeros(1 << record.n)
-    lam[0] = _lambda0(record)
-    for k in range(record.n):
-        lam[1 << k] = (1.0 - record.a[k]) / 2.0
-    return lam
 
 
 def kkt_certificate(record: MeasurementRecord, cap: int = DENSE_CAP) -> KktCertificate:
@@ -291,18 +281,20 @@ def kkt_certificate(record: MeasurementRecord, cap: int = DENSE_CAP) -> KktCerti
     whenever a condition fails beyond KKT_TOL, which for exact-arithmetic
     reasons happens iff :func:`closed_form_is_optimal` is False.
     """
-    _require_normalized(record)
-    _require_feasible(record)
+    _feasible_spectrum(record)
     if record.n > cap:
         raise DenseCapExceeded(record.n, cap, "certificate multipliers")
+    lam0, singles = _spectrum(record.a)  # unclipped: certify the candidate as constructed
     dim = 1 << record.n
-    lam = _closed_form_spectrum_vector(record)
+    single_idx = 1 << np.arange(record.n)
+    lam = np.zeros(dim)
+    lam[0] = lam0
+    lam[single_idx] = singles
     c = min_purity_coefficients(record, cap).values
 
     nu_full = np.zeros(dim)
-    for k in range(record.n):
-        nu_full[1 << k] = lam[1 << k] - lam[0]
-    nu_full[0] = -2.0 * lam[0] - nu_full.sum()
+    nu_full[single_idx] = singles - lam0
+    nu_full[0] = -2.0 * lam0 - nu_full.sum()
 
     mu = nu_full.copy()
     walsh_hadamard_inplace(mu)
@@ -313,7 +305,7 @@ def kkt_certificate(record: MeasurementRecord, cap: int = DENSE_CAP) -> KktCerti
     walsh_hadamard_inplace(a_mu)
     residual -= a_mu / dim
 
-    nu = np.concatenate(([nu_full[0]], [nu_full[1 << k] for k in range(record.n)]))
+    nu = nu_full[np.concatenate(([0], single_idx))]
     cert = KktCertificate(
         mu=mu,
         nu=nu,
@@ -334,13 +326,9 @@ def kkt_certificate(record: MeasurementRecord, cap: int = DENSE_CAP) -> KktCerti
 
 def entropy_lower_bound(record: MeasurementRecord) -> float:
     """Entropy of the least-purity state: a lower bound on the maximal entropy."""
-    _require_normalized(record)
-    lam0 = _require_feasible(record)
+    lam0, singles = _feasible_spectrum(record)
     out = 0.0
-    if lam0 > 0.0:
-        out -= lam0 * math.log(lam0)
-    for ak in record.a:
-        s = (1.0 - ak) / 2.0
+    for s in (lam0, *singles.tolist()):
         if s > 0.0:
             out -= s * math.log(s)
     return out

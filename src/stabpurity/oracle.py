@@ -34,13 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenseCapExceeded, Infeasible, NotConverged
+from .errors import DenseCapExceeded, NotConverged
 from .estimator import MeasurementRecord
 from .stabilizer import DENSE_CAP, GraphSpec
 
 #: Largest n the numeric solvers accept (2^n-dimensional iterates).
 ORACLE_CAP = 8
-#: Iterations between convergence checks; also the infeasibility stall window.
+#: Iterations between convergence checks.
 _CHECK_EVERY = 100
 
 
@@ -73,7 +73,6 @@ def _solve_simplex_qp(
     p = np.zeros(dim)
     q = np.zeros(dim)
     iterations = 0
-    prev_gap = None
     residual = math.inf
     while iterations < max_iter:
         for _ in range(_CHECK_EVERY):
@@ -90,11 +89,6 @@ def _solve_simplex_qp(
             # exact unit mass; shifts the other constraints by O(residual) only
             x /= x.sum()
             return QpSolution(x, float(np.dot(x, x)), iterations, residual, True)
-        if gap > 1e-6 and prev_gap is not None and abs(prev_gap - gap) < 1e-12:
-            raise Infeasible(
-                f"affine projection distance stalled at {gap:.3g}: empty constraint set"
-            )
-        prev_gap = gap
     raise NotConverged(iterations, residual)
 
 
@@ -106,8 +100,9 @@ def qp_min_purity(
     Deterministic (no randomized restarts): identical inputs give identical
     iterates.  The returned spectrum is normalized to exact unit mass after
     the stopping test; ``kkt_residual`` is the solver's stopping residual.
-    Raises Infeasible for an empty constraint set and NotConverged past
-    ``max_iter`` iterations.
+    The constraint set is never empty on [0, 1]^n: the product spectrum
+    prod_k (1 +- a_k)/2 satisfies it.  Raises NotConverged past ``max_iter``
+    iterations.
     """
     if record.n > ORACLE_CAP:
         raise DenseCapExceeded(record.n, ORACLE_CAP, "numeric quadratic program")

@@ -38,10 +38,14 @@ class TestRecordValidation:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             record(1.2)
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            record(math.nan, 0.5)
 
     def test_negative_uncertainty_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             record(0.5, delta=[-0.1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            record(0.5, 0.5, delta=[0.01, math.nan])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

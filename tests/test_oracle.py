@@ -7,7 +7,6 @@ from stabpurity import (
     CoeffVector,
     DenseCapExceeded,
     GraphSpec,
-    Infeasible,
     MeasurementRecord,
     assemble_dense,
     binary_entropy,
@@ -21,7 +20,7 @@ from stabpurity import (
     qp_min_purity,
     twirl,
 )
-from stabpurity.oracle import _rk4_step, _solve_simplex_qp
+from stabpurity.oracle import _rk4_step
 from support import optimal_record, random_graph
 
 A01 = math.exp(-0.1)
@@ -99,10 +98,6 @@ class TestQp:
     def test_cap(self):
         with pytest.raises(DenseCapExceeded):
             qp_min_purity(MeasurementRecord(9, np.full(9, 0.9)))
-
-    def test_empty_constraint_set_detected(self):
-        with pytest.raises(Infeasible):
-            _solve_simplex_qp(1, np.array([1.5]))
 
 
 class TestMaxEntropy:

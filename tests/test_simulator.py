@@ -19,6 +19,7 @@ from stabpurity import (
     exact_record,
     master_equation_evolve,
     min_purity,
+    purity,
     sample_measurements,
     twirl,
 )
@@ -79,27 +80,31 @@ class TestExactValues:
         assert exact_entropy_dephased(PATH2, NoiseParams.from_gamma_t(0.0)) == 0.0
 
     def test_parseval_agreement(self):
-        noise = NoiseParams.from_gamma_t(0.23)
-        for n in (1, 4, 7, 10):
-            g = GraphSpec.preset(f"path-{n}")
-            lam = eigenvalues(dephased_coefficients(g, noise)).values
-            assert abs(exact_purity_dephased(g, noise) - np.dot(lam, lam)) < 1e-12
+        for gamma_t in (0.23, 0.9):
+            noise = NoiseParams.from_gamma_t(gamma_t)
+            for n in (1, 4, 7, 10, 16):
+                g = GraphSpec.preset(f"path-{n}")
+                coeffs = dephased_coefficients(g, noise)
+                lam = eigenvalues(coeffs).values
+                assert abs(exact_purity_dephased(g, noise) - np.dot(lam, lam)) < 1e-12
+                assert abs(exact_purity_dephased(g, noise) - purity(coeffs)) < 1e-12
 
     def test_spectrum_factorizes(self):
         # product spectrum means the dephased state saturates the entropy maximum
-        noise = NoiseParams.from_gamma_t(0.17)
-        decay = math.exp(-noise.gamma_t)
-        for n in (2, 3, 5):
-            g = GraphSpec.preset(f"ring-{n}")
-            lam = eigenvalues(dephased_coefficients(g, noise)).values
-            product = np.array([1.0])
-            for _ in range(n):
-                product = np.kron([(1 + decay) / 2, (1 - decay) / 2], product)
-            np.testing.assert_allclose(lam, product, atol=1e-12)
-            rec = exact_record(g, noise)
-            assert abs(exact_entropy_dephased(g, noise) - entropy_max(rec)) < 1e-12
-            assert abs(entropy(eigenvalues(dephased_coefficients(g, noise)))
-                       - exact_entropy_dephased(g, noise)) < 1e-12
+        for gamma_t in (0.17, 0.6):
+            noise = NoiseParams.from_gamma_t(gamma_t)
+            decay = math.exp(-noise.gamma_t)
+            for n in (2, 3, 5, 16):
+                g = GraphSpec.preset(f"ring-{n}")
+                lam = eigenvalues(dephased_coefficients(g, noise)).values
+                product = np.array([1.0])
+                for _ in range(n):
+                    product = np.kron([(1 + decay) / 2, (1 - decay) / 2], product)
+                np.testing.assert_allclose(lam, product, atol=1e-12)
+                rec = exact_record(g, noise)
+                assert abs(exact_entropy_dephased(g, noise) - entropy_max(rec)) < 1e-12
+                assert abs(entropy(eigenvalues(dephased_coefficients(g, noise)))
+                           - exact_entropy_dephased(g, noise)) < 1e-12
 
     def test_estimates_bound_exact_values(self):
         for n in (2, 3, 4):
