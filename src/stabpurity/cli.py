@@ -26,8 +26,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from .estimator import (
     min_purity,
     normalize_signs,
 )
-from .oracle import master_equation_evolve, max_entropy_numeric, qp_min_purity
+from .oracle import ORACLE_CAP, master_equation_evolve, max_entropy_numeric, qp_min_purity
 from .simulator import (
     RNG_ALGORITHM,
     NoiseParams,
@@ -96,13 +94,29 @@ def _load_json(path: str):
         raise MalformedInput("<file>", f"{path} is not valid UTF-8 JSON: {exc}") from exc
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _qubit_count(doc: dict, n_max: float = math.inf) -> int:
+    if "n" not in doc:
+        raise MalformedInput("n", "missing")
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= n_max:
+        want = "a positive integer" if n_max == math.inf else f"an integer in 1..{n_max}"
+        raise MalformedInput("n", f"expected {want}, got {n!r}")
+    return n
+
+
 def _number_list(doc: dict, key: str, n: int, lo: float, hi: float) -> list[float]:
+    if key not in doc:
+        raise MalformedInput(key, "missing")
     vals = doc[key]
     if not isinstance(vals, list) or len(vals) != n:
         raise MalformedInput(key, f"expected a list of {n} numbers")
     out = []
     for v in vals:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        if not _is_number(v):
             raise MalformedInput(key, f"non-numeric entry {v!r}")
         if not (lo <= v <= hi):
             raise MalformedInput(key, f"entry {v!r} outside [{lo}, {hi}]")
@@ -115,13 +129,7 @@ def load_measurement(path: str):
     doc, digest = _load_json(path)
     if not isinstance(doc, dict):
         raise MalformedInput("<file>", "top-level value must be an object")
-    if "n" not in doc:
-        raise MalformedInput("n", "missing")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise MalformedInput("n", f"expected a positive integer, got {n!r}")
-    if "a" not in doc:
-        raise MalformedInput("a", "missing")
+    n = _qubit_count(doc)
     a = _number_list(doc, "a", n, -1.0, 1.0)
     delta = _number_list(doc, "delta_a", n, 0.0, 2.0) if "delta_a" in doc else [0.0] * n
     shots = None
@@ -147,62 +155,8 @@ def load_measurement(path: str):
     return record, graph, meta or {}, digest
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Everything the estimate command derives from one measurement file."""
-
-    version: str
-    input_digest: str
-    n: int
-    a: tuple
-    delta_a: tuple
-    signs_flipped: str
-    feasible: bool
-    p_min: float
-    p_lower: Optional[float]
-    p_upper: Optional[float]
-    lambda0: float
-    spectrum: dict
-    s_lower: Optional[float]
-    s_max: float
-    warnings: tuple
-    certificate: Optional[dict]
-    meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["a"] = list(self.a)
-        d["delta_a"] = list(self.delta_a)
-        d["warnings"] = list(self.warnings)
-        d["spectrum"] = dict(self.spectrum, singles=list(self.spectrum["singles"]))
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EstimateReport":
-        spectrum = dict(d["spectrum"], singles=tuple(d["spectrum"]["singles"]))
-        return cls(
-            version=d["version"],
-            input_digest=d["input_digest"],
-            n=d["n"],
-            a=tuple(d["a"]),
-            delta_a=tuple(d["delta_a"]),
-            signs_flipped=d["signs_flipped"],
-            feasible=d["feasible"],
-            p_min=d["p_min"],
-            p_lower=d["p_lower"],
-            p_upper=d["p_upper"],
-            lambda0=d["lambda0"],
-            spectrum=spectrum,
-            s_lower=d["s_lower"],
-            s_max=d["s_max"],
-            warnings=tuple(d["warnings"]),
-            certificate=d["certificate"],
-            meta=d["meta"],
-        )
-
-
-def build_report(record, graph, meta, digest, with_certificate: bool = True) -> EstimateReport:
-    """Run the full estimation pipeline on an already-parsed record."""
+def build_report(record, graph, meta, digest, with_certificate: bool = True) -> dict:
+    """Run the full estimation pipeline on an already-parsed record; returns the report document."""
     normalized, signs = normalize_signs(record)
     pur = min_purity(normalized, graph)
     ent = estimate_entropy(normalized)
@@ -223,46 +177,46 @@ def build_report(record, graph, meta, digest, with_certificate: bool = True) -> 
         else:
             certificate = {"valid": None, "skipped": f"n > dense cap {DENSE_CAP}"}
 
-    return EstimateReport(
-        version=__version__,
-        input_digest=digest,
-        n=normalized.n,
-        a=tuple(float(x) for x in normalized.a),
-        delta_a=tuple(float(x) for x in normalized.delta_a),
-        signs_flipped=signs,
-        feasible=True,
-        p_min=pur.p_min,
-        p_lower=pur.p_lower,
-        p_upper=pur.p_upper,
-        lambda0=pur.lambda0,
-        spectrum={
+    return {
+        "version": __version__,
+        "input_digest": digest,
+        "n": normalized.n,
+        "a": normalized.a.tolist(),
+        "delta_a": normalized.delta_a.tolist(),
+        "signs_flipped": signs,
+        "feasible": True,
+        "p_min": pur.p_min,
+        "p_lower": pur.p_lower,
+        "p_upper": pur.p_upper,
+        "lambda0": pur.lambda0,
+        "spectrum": {
             "lambda0": pur.spectrum_summary.lambda0,
-            "singles": pur.spectrum_summary.singles,
+            "singles": list(pur.spectrum_summary.singles),
             "zero_multiplicity": pur.spectrum_summary.zero_multiplicity,
         },
-        s_lower=ent.s_lower,
-        s_max=ent.s_max,
-        warnings=pur.warnings,
-        certificate=certificate,
-        meta=meta,
-    )
+        "s_lower": ent.s_lower,
+        "s_max": ent.s_max,
+        "warnings": list(pur.warnings),
+        "certificate": certificate,
+        "meta": meta,
+    }
 
 
-def _print_report(report: EstimateReport, out) -> None:
+def _print_report(report: dict, out) -> None:
     def fmt(x):
         return "n/a" if x is None else f"{x:.12g}"
 
-    print(f"n                = {report.n}", file=out)
-    print(f"a (normalized)   = {[round(x, 6) for x in report.a]}", file=out)
-    print(f"signs flipped    = {report.signs_flipped}", file=out)
-    print(f"p_min            = {fmt(report.p_min)}", file=out)
-    print(f"p_lower, p_upper = {fmt(report.p_lower)}, {fmt(report.p_upper)}", file=out)
-    print(f"lambda0          = {fmt(report.lambda0)}", file=out)
-    print(f"s_lower          = {fmt(report.s_lower)}", file=out)
-    print(f"s_max            = {fmt(report.s_max)}", file=out)
-    if report.certificate is not None:
-        print(f"certificate      = {report.certificate}", file=out)
-    for w in report.warnings:
+    print(f"n                = {report['n']}", file=out)
+    print(f"a (normalized)   = {[round(x, 6) for x in report['a']]}", file=out)
+    print(f"signs flipped    = {report['signs_flipped']}", file=out)
+    print(f"p_min            = {fmt(report['p_min'])}", file=out)
+    print(f"p_lower, p_upper = {fmt(report['p_lower'])}, {fmt(report['p_upper'])}", file=out)
+    print(f"lambda0          = {fmt(report['lambda0'])}", file=out)
+    print(f"s_lower          = {fmt(report['s_lower'])}", file=out)
+    print(f"s_max            = {fmt(report['s_max'])}", file=out)
+    if report["certificate"] is not None:
+        print(f"certificate      = {report['certificate']}", file=out)
+    for w in report["warnings"]:
         print(f"warning: {w}", file=out)
 
 
@@ -283,9 +237,9 @@ def cmd_estimate(args) -> int:
             _write_json(error, args.output)
         return 2
     if args.output:
-        _write_json(report.to_dict(), args.output)
+        _write_json(report, args.output)
     if args.json:
-        sys.stdout.write(_json_text(report.to_dict()))
+        sys.stdout.write(_json_text(report))
     else:
         _print_report(report, sys.stdout)
     return 0
@@ -301,7 +255,7 @@ def cmd_simulate(args) -> int:
     except (ValueError, MalformedInput) as exc:
         print(f"error: invalid graph: {exc}", file=sys.stderr)
         return 1
-    if args.gamma_t < 0:
+    if not args.gamma_t >= 0:  # NaN fails this comparison too
         print("error: --gamma-t must be nonnegative", file=sys.stderr)
         return 1
     noise = NoiseParams.from_gamma_t(args.gamma_t)
@@ -498,20 +452,31 @@ def run_oracle_trials(trials: int, n_min: int, n_max: int, seed: int) -> dict:
     return summary
 
 
-def replay_instance(doc: dict) -> dict:
-    """Recompute the deviation of a serialized failing instance."""
+def replay_instance(doc) -> dict:
+    """Recompute the deviation of a serialized failing instance.
+
+    Raises MalformedInput naming the field unless the document is an object
+    with a known ``kind``, ``n`` in 1..ORACLE_CAP, and either ``a`` (n numbers
+    in [0, 1]) or, for the integrator, a finite nonnegative ``gamma_t``.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedInput("<file>", "top-level value must be an object")
     kind = doc.get("kind")
-    if kind == "qp":
-        gap = abs(_qp_gap(MeasurementRecord(doc["n"], np.array(doc["a"]))))
-        tolerance = QP_TOLERANCE
-    elif kind == "entropy":
-        gap = _entropy_gap(MeasurementRecord(doc["n"], np.array(doc["a"])))
-        tolerance = ENTROPY_TOLERANCE
-    elif kind == "integrator":
-        gap = _integrator_dev(doc["n"], doc["gamma_t"])
+    if kind not in ("qp", "entropy", "integrator"):
+        raise MalformedInput("kind", f"unknown instance kind {kind!r}")
+    n = _qubit_count(doc, ORACLE_CAP)
+    if kind == "integrator":
+        gamma_t = doc.get("gamma_t")
+        if not _is_number(gamma_t) or gamma_t < 0:
+            raise MalformedInput("gamma_t", f"expected a finite nonnegative number, got {gamma_t!r}")
+        gap = _integrator_dev(n, gamma_t)
         tolerance = INTEGRATOR_TOLERANCE
     else:
-        raise MalformedInput("kind", f"unknown instance kind {kind!r}")
+        record = MeasurementRecord(n, np.array(_number_list(doc, "a", n, 0.0, 1.0)))
+        if kind == "qp":
+            gap, tolerance = abs(_qp_gap(record)), QP_TOLERANCE
+        else:
+            gap, tolerance = _entropy_gap(record), ENTROPY_TOLERANCE
     return {"kind": kind, "gap": gap, "tolerance": tolerance, "ok": gap <= tolerance}
 
 
@@ -521,8 +486,8 @@ def cmd_oracle_check(args) -> int:
         result = replay_instance(doc)
         sys.stdout.write(_json_text(result))
         return 0 if result["ok"] else 3
-    if not (1 <= args.n_min <= args.n_max <= 8):
-        print("error: need 1 <= --n-min <= --n-max <= 8", file=sys.stderr)
+    if not (1 <= args.n_min <= args.n_max <= ORACLE_CAP):
+        print(f"error: need 1 <= --n-min <= --n-max <= {ORACLE_CAP}", file=sys.stderr)
         return 1
     summary = run_oracle_trials(args.trials, args.n_min, args.n_max, args.seed)
     failure = summary.pop("failure")

@@ -73,9 +73,6 @@ class Spectrum:
     def __getitem__(self, j: int) -> float:
         return float(self.values[j])
 
-    def is_physical(self, tol: float = SPECTRUM_FLOOR) -> bool:
-        return bool(self.values.min() >= -tol)
-
 
 def walsh_hadamard_inplace(a: np.ndarray) -> None:
     """Unnormalized Walsh-Hadamard transform of a length-2^m buffer, in place.
@@ -117,17 +114,17 @@ def purity(c: CoeffVector) -> float:
     return float(np.dot(c.values, c.values) / c.values.size)
 
 
-def entropy(s: Spectrum, floor: float = SPECTRUM_FLOOR) -> float:
+def entropy(s: Spectrum) -> float:
     """Von Neumann entropy -sum lambda ln lambda, with 0 ln 0 = 0.
 
-    Eigenvalues in [-floor, 0) are treated as exact zeros; anything below
-    raises NonPhysicalSpectrum.
+    Eigenvalues in [-SPECTRUM_FLOOR, 0) are treated as exact zeros; anything
+    below raises NonPhysicalSpectrum.
     """
     lam = s.values
     worst = lam.min()
-    if worst < -floor:
+    if worst < -SPECTRUM_FLOOR:
         raise NonPhysicalSpectrum(
-            f"eigenvalue {worst!r} below -{floor:g}; not a density-operator spectrum"
+            f"eigenvalue {worst!r} below -{SPECTRUM_FLOOR:g}; not a density-operator spectrum"
         )
     pos = lam[lam > 0.0]
     return float(-np.dot(pos, np.log(pos)))
@@ -137,22 +134,22 @@ def _stabilizer_group(graph: GraphSpec):
     return [stabilizer_element(graph, i) for i in range(1 << graph.n)]
 
 
-def _check_dense_input(rho: np.ndarray, graph: GraphSpec, cap: int, what: str) -> None:
-    if graph.n > cap:
-        raise DenseCapExceeded(graph.n, cap, what)
+def _check_dense_input(rho: np.ndarray, graph: GraphSpec, what: str) -> None:
+    if graph.n > DENSE_CAP:
+        raise DenseCapExceeded(graph.n, DENSE_CAP, what)
     dim = 1 << graph.n
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix, got {rho.shape}")
 
 
-def twirl(rho: np.ndarray, graph: GraphSpec, cap: int = DENSE_CAP) -> CoeffVector:
+def twirl(rho: np.ndarray, graph: GraphSpec) -> CoeffVector:
     """Project rho onto stabilizer-diagonal form by reading tr(rho S_i) for all i.
 
     Equivalent to group-averaging rho over the stabilizer group (see
     :func:`twirl_average` for that literal, slower path) and preserves every
     stabilizer expectation value.  Requires unit trace.
     """
-    _check_dense_input(rho, graph, cap, "twirl")
+    _check_dense_input(rho, graph, "twirl")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-9:
         raise NonUnitTrace(f"trace {tr:.12g} differs from 1 by more than 1e-9")
@@ -161,26 +158,26 @@ def twirl(rho: np.ndarray, graph: GraphSpec, cap: int = DENSE_CAP) -> CoeffVecto
     )
 
 
-def twirl_average(rho: np.ndarray, graph: GraphSpec, cap: int = DENSE_CAP) -> np.ndarray:
+def twirl_average(rho: np.ndarray, graph: GraphSpec) -> np.ndarray:
     """The twirled state computed as the literal group average 2^{-n} sum S rho S.
 
     Reference path used to cross-validate :func:`twirl`; quadratically more
     work, so not the production route.
     """
-    _check_dense_input(rho, graph, cap, "twirl average")
+    _check_dense_input(rho, graph, "twirl average")
     acc = np.zeros_like(rho, dtype=complex)
     for s in _stabilizer_group(graph):
-        m = dense_matrix(s, cap)
+        m = dense_matrix(s)
         acc += m @ rho @ m
     return acc / (1 << graph.n)
 
 
-def assemble_dense(c: CoeffVector, graph: GraphSpec, cap: int = DENSE_CAP) -> np.ndarray:
+def assemble_dense(c: CoeffVector, graph: GraphSpec) -> np.ndarray:
     """Dense 2^{-n} sum_i c[i] S_i; Hermitian with unit trace when c[0] = 1."""
     if graph.n != c.n:
         raise ValueError("graph and coefficient vector disagree on qubit count")
-    if graph.n > cap:
-        raise DenseCapExceeded(graph.n, cap, "dense assembly")
+    if graph.n > DENSE_CAP:
+        raise DenseCapExceeded(graph.n, DENSE_CAP, "dense assembly")
     dim = 1 << graph.n
     k = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)

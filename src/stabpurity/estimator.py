@@ -121,7 +121,6 @@ class KktCertificate:
 class EntropyEstimate:
     s_lower: Optional[float]
     s_max: float
-    feasible: bool = True
 
 
 def binary_entropy(p: float) -> float:
@@ -202,11 +201,11 @@ def pairwise_sums_ok(record: MeasurementRecord, graph: Optional[GraphSpec] = Non
     return float(smallest_two.sum()) >= 1.0 - _EXACT_TOL
 
 
-def min_purity_coefficients(record: MeasurementRecord, cap: int = DENSE_CAP) -> CoeffVector:
-    """Full 2^n coefficient vector of the least-purity state (n <= cap only)."""
+def min_purity_coefficients(record: MeasurementRecord) -> CoeffVector:
+    """Full 2^n coefficient vector of the least-purity state (n <= DENSE_CAP only)."""
     _feasible_spectrum(record)
-    if record.n > cap:
-        raise DenseCapExceeded(record.n, cap, "coefficient vector")
+    if record.n > DENSE_CAP:
+        raise DenseCapExceeded(record.n, DENSE_CAP, "coefficient vector")
     c = np.ones(1 << record.n)
     idx = np.arange(1 << record.n)
     for k in range(record.n):
@@ -274,7 +273,7 @@ def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> 
     )
 
 
-def kkt_certificate(record: MeasurementRecord, cap: int = DENSE_CAP) -> KktCertificate:
+def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
     """Construct and check the optimality multipliers for the closed form.
 
     Equality multipliers: nu at a single-bit index is that eigenvalue minus
@@ -289,15 +288,15 @@ def kkt_certificate(record: MeasurementRecord, cap: int = DENSE_CAP) -> KktCerti
     reasons happens iff :func:`closed_form_is_optimal` is False.
     """
     _feasible_spectrum(record)
-    if record.n > cap:
-        raise DenseCapExceeded(record.n, cap, "certificate multipliers")
+    if record.n > DENSE_CAP:
+        raise DenseCapExceeded(record.n, DENSE_CAP, "certificate multipliers")
     lam0, singles = _spectrum(record.a)  # unclipped: certify the candidate as constructed
     dim = 1 << record.n
     single_idx = 1 << np.arange(record.n)
     lam = np.zeros(dim)
     lam[0] = lam0
     lam[single_idx] = singles
-    c = min_purity_coefficients(record, cap).values
+    c = min_purity_coefficients(record).values
 
     nu_full = np.zeros(dim)
     nu_full[single_idx] = singles - lam0
@@ -356,6 +355,6 @@ def estimate_entropy(record: MeasurementRecord) -> EntropyEstimate:
     """Both entropy bounds in one report; s_lower is None for infeasible records."""
     s_max = entropy_max(record)
     try:
-        return EntropyEstimate(entropy_lower_bound(record), s_max, True)
+        return EntropyEstimate(entropy_lower_bound(record), s_max)
     except InfeasibleRecord:
-        return EntropyEstimate(None, s_max, False)
+        return EntropyEstimate(None, s_max)

@@ -42,6 +42,9 @@ from .stabilizer import DENSE_CAP, GraphSpec
 ORACLE_CAP = 8
 #: Iterations between convergence checks.
 _CHECK_EVERY = 100
+#: QP stopping residual and iteration budget.
+_TOL = 1e-9
+_MAX_ITER = 10**6
 
 
 @dataclass(frozen=True)
@@ -63,18 +66,28 @@ def _sign_matrix(n: int) -> np.ndarray:
     return rows
 
 
-def _solve_simplex_qp(
-    n: int, a: np.ndarray, tol: float = 1e-9, max_iter: int = 10**6
-) -> QpSolution:
-    dim = 1 << n
-    rows = _sign_matrix(n)
-    b = np.concatenate(([1.0], a))
+def qp_min_purity(record: MeasurementRecord) -> QpSolution:
+    """Numeric minimum purity over the eigenvalue simplex; see module docstring.
+
+    Deterministic (no randomized restarts): identical inputs give identical
+    iterates.  The returned spectrum is normalized to exact unit mass after
+    the stopping test; ``kkt_residual`` is the solver's stopping residual.
+    The constraint set is never empty on [0, 1]^n: the product spectrum
+    prod_k (1 +- a_k)/2 satisfies it.  Stops once the residual is at most
+    ``_TOL``; raises NotConverged past ``_MAX_ITER`` iterations.
+    """
+    if record.n > ORACLE_CAP:
+        raise DenseCapExceeded(record.n, ORACLE_CAP, "numeric quadratic program")
+    _require_unit_interval(record.a)
+    dim = 1 << record.n
+    rows = _sign_matrix(record.n)
+    b = np.concatenate(([1.0], record.a))
     x = np.zeros(dim)
     p = np.zeros(dim)
     q = np.zeros(dim)
     iterations = 0
     residual = math.inf
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         for _ in range(_CHECK_EVERY):
             u = x + p
             y = u - rows.T @ (rows @ u - b) / dim  # rows are orthogonal, norm^2 = dim
@@ -85,29 +98,11 @@ def _solve_simplex_qp(
             iterations += 1
         gap = float(np.abs(rows @ x - b).max())
         residual = max(gap, 2.0 * float(np.abs(x + p + q).max()))
-        if residual <= tol:
+        if residual <= _TOL:
             # exact unit mass; shifts the other constraints by O(residual) only
             x /= x.sum()
             return QpSolution(x, float(np.dot(x, x)), iterations, residual, True)
     raise NotConverged(iterations, residual)
-
-
-def qp_min_purity(
-    record: MeasurementRecord, tol: float = 1e-9, max_iter: int = 10**6
-) -> QpSolution:
-    """Numeric minimum purity over the eigenvalue simplex; see module docstring.
-
-    Deterministic (no randomized restarts): identical inputs give identical
-    iterates.  The returned spectrum is normalized to exact unit mass after
-    the stopping test; ``kkt_residual`` is the solver's stopping residual.
-    The constraint set is never empty on [0, 1]^n: the product spectrum
-    prod_k (1 +- a_k)/2 satisfies it.  Raises NotConverged past ``max_iter``
-    iterations.
-    """
-    if record.n > ORACLE_CAP:
-        raise DenseCapExceeded(record.n, ORACLE_CAP, "numeric quadratic program")
-    _require_unit_interval(record.a)
-    return _solve_simplex_qp(record.n, record.a, tol, max_iter)
 
 
 def _require_unit_interval(a: np.ndarray) -> None:
@@ -115,7 +110,7 @@ def _require_unit_interval(a: np.ndarray) -> None:
         raise ValueError("expectations must be sign-normalized into [0, 1]")
 
 
-def _solve_tanh(target: float, tol: float = 1e-15) -> float:
+def _solve_tanh(target: float) -> float:
     """Monotone bisection for tanh(theta) = target, target in [0, 1)."""
     lo, hi = 0.0, 1.0
     while math.tanh(hi) < target:
@@ -126,7 +121,7 @@ def _solve_tanh(target: float, tol: float = 1e-15) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= 1e-15 * max(1.0, hi):
             break
     theta = 0.5 * (lo + hi)
     if abs(math.tanh(theta) - target) > 1e-12:
@@ -171,38 +166,42 @@ def graph_state_vector(graph: GraphSpec) -> np.ndarray:
     return psi.astype(complex)
 
 
-def _dephasing_rhs(rho: np.ndarray, z_ops: list[np.ndarray], gamma: float) -> np.ndarray:
-    acc = -len(z_ops) * rho
-    for z in z_ops:
-        acc += z @ rho @ z
-    return (gamma / 2.0) * acc
+def _dephasing_rate(n: int, gamma: float) -> np.ndarray:
+    """Rate matrix R with (gamma/2) sum_i (Z_i rho Z_i - rho) = R o rho (elementwise).
+
+    Z_i is diagonal with +-1 entries z_i, so Z_i rho Z_i = (z_i z_i^T) o rho and
+    R = (gamma/2) sum_i (z_i z_i^T - 1): real, symmetric, zero on the diagonal.
+    """
+    k = np.arange(1 << n)
+    rate = np.zeros((1 << n, 1 << n))
+    for i in range(n):
+        z = 1.0 - 2.0 * ((k >> i) & 1)
+        rate += np.outer(z, z) - 1.0
+    return (gamma / 2.0) * rate
 
 
-def _rk4_step(rho: np.ndarray, z_ops: list[np.ndarray], gamma: float, dt: float) -> np.ndarray:
-    k1 = _dephasing_rhs(rho, z_ops, gamma)
-    k2 = _dephasing_rhs(rho + 0.5 * dt * k1, z_ops, gamma)
-    k3 = _dephasing_rhs(rho + 0.5 * dt * k2, z_ops, gamma)
-    k4 = _dephasing_rhs(rho + dt * k3, z_ops, gamma)
-    rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return 0.5 * (rho + rho.conj().T)  # enforce Hermiticity each step
+def _rk4_step(rho: np.ndarray, rate: np.ndarray, dt: float) -> np.ndarray:
+    k1 = rate * rho
+    k2 = rate * (rho + 0.5 * dt * k1)
+    k3 = rate * (rho + 0.5 * dt * k2)
+    k4 = rate * (rho + dt * k3)
+    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def master_equation_evolve(
-    graph: GraphSpec,
-    gamma: float,
-    t: float,
-    steps: int | None = None,
-    cap: int = DENSE_CAP,
+    graph: GraphSpec, gamma: float, t: float, steps: int | None = None
 ) -> np.ndarray:
     """Integrate drho/dt = (gamma/2) sum_i (Z_i rho Z_i - rho) from the pure graph state.
 
     Classic fourth-order Runge-Kutta with fixed step, at least 1000 steps per
     unit of gamma*t (the default honors that floor).  The right-hand side is
-    trace-free, so the trace is preserved to rounding; Hermiticity is enforced
-    by symmetrization every step.
+    the elementwise product with the rate matrix of :func:`_dephasing_rate`.
+    That matrix is real symmetric with a zero diagonal and the initial state
+    is real symmetric, so every iterate is exactly Hermitian and keeps its
+    diagonal, hence its trace, exactly; no symmetrization is needed.
     """
-    if graph.n > cap:
-        raise DenseCapExceeded(graph.n, cap, "master-equation integration")
+    if graph.n > DENSE_CAP:
+        raise DenseCapExceeded(graph.n, DENSE_CAP, "master-equation integration")
     if gamma < 0.0 or t < 0.0:
         raise ValueError("gamma and t must be nonnegative")
     gt = gamma * t
@@ -215,10 +214,8 @@ def master_equation_evolve(
     rho = np.outer(psi, psi.conj())
     if gt == 0.0:
         return rho
-    dim = 1 << graph.n
-    k = np.arange(dim)
-    z_ops = [np.diag((1 - 2 * ((k >> i) & 1)).astype(complex)) for i in range(graph.n)]
+    rate = _dephasing_rate(graph.n, gamma)
     dt = t / steps
     for _ in range(steps):
-        rho = _rk4_step(rho, z_ops, gamma, dt)
+        rho = _rk4_step(rho, rate, dt)
     return rho

@@ -213,13 +213,13 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return p.commutes_with(q)
 
 
-def dense_matrix(p: PauliString, cap: int = DENSE_CAP) -> np.ndarray:
+def dense_matrix(p: PauliString) -> np.ndarray:
     """Kronecker-product realization of p as a 2^n x 2^n complex matrix.
 
-    Hermitian whenever the phase is real.  Refuses n above ``cap``.
+    Hermitian whenever the phase is real.  Refuses n above ``DENSE_CAP``.
     """
-    if p.n > cap:
-        raise DenseCapExceeded(p.n, cap)
+    if p.n > DENSE_CAP:
+        raise DenseCapExceeded(p.n, DENSE_CAP)
     m = np.array([[1.0 + 0j]])
     for j in range(p.n):
         # qubit 0 must end up as the fastest-varying index bit

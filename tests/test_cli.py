@@ -4,7 +4,6 @@ import math
 import pytest
 
 from stabpurity.cli import (
-    EstimateReport,
     build_report,
     load_measurement,
     main,
@@ -96,7 +95,7 @@ class TestEstimate:
         out_path = tmp_path / "report.json"
         code, _, _ = run(capsys, "estimate", "--input", f, "--output", str(out_path))
         assert code == 0
-        parsed = EstimateReport.from_dict(json.loads(out_path.read_text()))
+        parsed = json.loads(out_path.read_text())
         record, graph, meta, digest = load_measurement(f)
         rebuilt = build_report(record, graph, meta, digest)
         assert parsed == rebuilt  # lossless serialization, full float precision
@@ -186,10 +185,14 @@ class TestSimulate:
         assert "shots" in err
 
     def test_negative_gamma_t(self, tmp_path, capsys):
-        code, _, err = run(capsys, "simulate", "--graph", "path-2", "--gamma-t", "-0.1",
-                           "--output", str(tmp_path / "x.json"))
-        assert code == 1
-        assert "gamma-t" in err
+        # NaN fails a plain "< 0" test, so it needs its own case; both the
+        # exact and the sampled path must reject it before computing anything
+        for gamma_t in ("-0.1", "nan"):
+            for shots in ("exact", "100"):
+                code, _, err = run(capsys, "simulate", "--graph", "path-2", "--gamma-t", gamma_t,
+                                   "--shots", shots, "--output", str(tmp_path / "x.json"))
+                assert code == 1, (gamma_t, shots)
+                assert "gamma-t" in err
 
 
 class TestReproduceTables:
@@ -252,6 +255,35 @@ class TestOracleCheck:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize(
+        "doc, fieldname",
+        [
+            ([1, 2], "<file>"),
+            ({"n": 2, "a": [0.9, 0.8]}, "kind"),
+            ({"kind": "qp", "a": [0.9, 0.8]}, "n"),
+            ({"kind": "qp", "n": 2}, "a"),
+            ({"kind": "qp", "n": 12, "a": [0.9] * 12}, "n"),
+            ({"kind": "qp", "n": 0, "a": []}, "n"),
+            ({"kind": "qp", "n": True, "a": [0.9]}, "n"),
+            ({"kind": "qp", "n": 2.0, "a": [0.9, 0.8]}, "n"),
+            ({"kind": "qp", "n": 2, "a": [0.9]}, "a"),
+            ({"kind": "qp", "n": 2, "a": [0.9, -0.5]}, "a"),
+            ({"kind": "entropy", "n": 2, "a": [0.9, 1.5]}, "a"),
+            ({"kind": "entropy", "n": 2, "a": [0.9, "x"]}, "a"),
+            ({"kind": "integrator", "n": 2}, "gamma_t"),
+            ({"kind": "integrator", "n": 2, "gamma_t": -0.1}, "gamma_t"),
+            ({"kind": "integrator", "n": 2, "gamma_t": float("nan")}, "gamma_t"),
+            ({"kind": "integrator", "n": 2, "gamma_t": "0.1"}, "gamma_t"),
+            ({"kind": "integrator", "n": 9, "gamma_t": 0.1}, "n"),
+        ],
+    )
+    def test_replay_rejects_malformed(self, tmp_path, capsys, doc, fieldname):
+        f = write_json(tmp_path / "inst.json", doc)
+        code, out, err = run(capsys, "oracle-check", "--input", f)
+        assert code == 1
+        assert out == ""
+        assert f"'{fieldname}'" in err
+
     def test_replay_helper_kinds(self):
         assert replay_instance({"kind": "entropy", "n": 2, "a": [0.9, 0.8]})["ok"]
         with pytest.raises(Exception, match="kind"):
@@ -268,6 +300,6 @@ class TestReportPrecision:
         f = write_json(tmp_path / "m.json", {"n": 2, "a": [A01, A01]})
         record, graph, meta, digest = load_measurement(f)
         report = build_report(record, graph, meta, digest)
-        text = json.dumps(report.to_dict())
-        assert json.loads(text)["p_min"] == report.p_min  # full 17-digit round trip
-        assert EstimateReport.from_dict(json.loads(text)) == report
+        text = json.dumps(report)
+        assert json.loads(text)["p_min"] == report["p_min"]  # full 17-digit round trip
+        assert json.loads(text) == report

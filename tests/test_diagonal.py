@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stabpurity import (
+    DENSE_CAP,
     CoeffVector,
     DenseCapExceeded,
     GraphSpec,
@@ -147,7 +148,7 @@ class TestTwirl:
 
     def test_respects_cap(self):
         with pytest.raises(DenseCapExceeded):
-            twirl(np.eye(8) / 8, GraphSpec.preset("path-3"), cap=2)
+            twirl(np.eye(2) / 2, GraphSpec.preset(f"path-{DENSE_CAP + 1}"))
 
     def test_agrees_with_group_average(self):
         rng = np.random.default_rng(2)

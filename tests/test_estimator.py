@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stabpurity import (
+    DENSE_CAP,
     CertificateInvalid,
     DenseCapExceeded,
     GraphSpec,
@@ -114,9 +115,9 @@ class TestCoefficients:
             min_purity_coefficients(record(0.2, 0.2, 0.2))
 
     def test_cap_enforced(self):
-        rec = MeasurementRecord(12, np.full(12, 0.99))
+        rec = MeasurementRecord(DENSE_CAP + 1, np.full(DENSE_CAP + 1, 0.99))
         with pytest.raises(DenseCapExceeded):
-            min_purity_coefficients(rec, cap=10)
+            min_purity_coefficients(rec)
 
 
 class TestMinPurity:
@@ -356,13 +357,11 @@ class TestEntropy:
 
     def test_estimate_entropy_feasible(self):
         est = estimate_entropy(record(A01, A01))
-        assert est.feasible
         assert est.s_lower == pytest.approx(entropy_lower_bound(record(A01, A01)))
         assert 0.0 <= est.s_lower <= est.s_max <= 2 * math.log(2)
 
     def test_estimate_entropy_infeasible(self):
         est = estimate_entropy(record(0.2, 0.2, 0.2))
-        assert not est.feasible
         assert est.s_lower is None
         assert est.s_max > 0.0
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from stabpurity import (
+    DENSE_CAP,
     CoeffVector,
     DenseCapExceeded,
     GraphSpec,
     MeasurementRecord,
+    ORACLE_CAP,
     assemble_dense,
     binary_entropy,
     entropy_max,
@@ -20,7 +22,7 @@ from stabpurity import (
     qp_min_purity,
     twirl,
 )
-from stabpurity.oracle import _rk4_step
+from stabpurity.oracle import _dephasing_rate, _rk4_step
 from support import optimal_record, random_graph
 
 A01 = math.exp(-0.1)
@@ -97,7 +99,7 @@ class TestQp:
 
     def test_cap(self):
         with pytest.raises(DenseCapExceeded):
-            qp_min_purity(MeasurementRecord(9, np.full(9, 0.9)))
+            qp_min_purity(MeasurementRecord(ORACLE_CAP + 1, np.full(ORACLE_CAP + 1, 0.9)))
 
 
 class TestMaxEntropy:
@@ -130,6 +132,10 @@ class TestMaxEntropy:
         for k in range(3):
             signs = 1.0 - 2.0 * ((idx >> k) & 1)
             assert abs(np.dot(signs, lam) - rec.a[k]) < 1e-9
+
+    def test_cap(self):
+        with pytest.raises(DenseCapExceeded):
+            max_entropy_numeric(MeasurementRecord(ORACLE_CAP + 1, np.full(ORACLE_CAP + 1, 0.9)))
 
 
 class TestIntegrator:
@@ -174,13 +180,26 @@ class TestIntegrator:
         g = GraphSpec.preset("ring-3")
         psi = graph_state_vector(g)
         rho = np.outer(psi, psi.conj())
-        k = np.arange(8)
-        z_ops = [np.diag((1 - 2 * ((k >> i) & 1)).astype(complex)) for i in range(3)]
+        rate = _dephasing_rate(3, 1.0)
         dt = 0.3 / 300
         for _ in range(300):
-            rho = _rk4_step(rho, z_ops, 1.0, dt)
+            rho = _rk4_step(rho, rate, dt)
+            assert np.array_equal(rho, rho.conj().T)
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(rho).min() >= -1e-10
+
+    def test_rate_matches_dense_dephasing(self):
+        # R o rho equals (gamma/2) sum_i (Z_i rho Z_i - rho) with dense Z_i
+        rng = np.random.default_rng(55)
+        n, gamma = 3, 0.7
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = m @ m.conj().T
+        z = np.diag([1.0, -1.0])
+        dense = np.zeros_like(rho)
+        for i in range(n):
+            z_i = np.kron(np.kron(np.eye(1 << (n - 1 - i)), z), np.eye(1 << i))
+            dense += z_i @ rho @ z_i - rho
+        np.testing.assert_allclose(_dephasing_rate(n, gamma) * rho, (gamma / 2) * dense, atol=1e-12)
 
     def test_step_floor_enforced(self):
         g = GraphSpec(1)
@@ -190,4 +209,4 @@ class TestIntegrator:
 
     def test_cap(self):
         with pytest.raises(DenseCapExceeded):
-            master_equation_evolve(GraphSpec.preset("path-4"), 1.0, 0.1, cap=3)
+            master_equation_evolve(GraphSpec.preset(f"path-{DENSE_CAP + 1}"), 1.0, 0.1)

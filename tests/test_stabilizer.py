@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stabpurity import (
+    DENSE_CAP,
     DenseCapExceeded,
     GraphSpec,
     PauliString,
@@ -173,7 +174,7 @@ class TestDense:
 
     def test_cap(self):
         with pytest.raises(DenseCapExceeded):
-            dense_matrix(PauliString(5, 1, 0), cap=4)
+            dense_matrix(PauliString(DENSE_CAP + 1, 1, 0))
 
     def test_expectation_value_matches_trace(self):
         rng = np.random.default_rng(9)
