@@ -40,7 +40,7 @@ from .estimator import (
     min_purity,
     normalize_signs,
 )
-from .oracle import ORACLE_CAP, master_equation_evolve, max_entropy_numeric, qp_min_purity
+from .oracle import _MAX_GAMMA_T, ORACLE_CAP, master_equation_evolve, max_entropy_numeric, qp_min_purity
 from .simulator import (
     RNG_ALGORITHM,
     NoiseParams,
@@ -255,8 +255,8 @@ def cmd_simulate(args) -> int:
     except (ValueError, MalformedInput) as exc:
         print(f"error: invalid graph: {exc}", file=sys.stderr)
         return 1
-    if not args.gamma_t >= 0:  # NaN fails this comparison too
-        print("error: --gamma-t must be nonnegative", file=sys.stderr)
+    if not (math.isfinite(args.gamma_t) and args.gamma_t >= 0):
+        print("error: --gamma-t must be finite and nonnegative", file=sys.stderr)
         return 1
     noise = NoiseParams.from_gamma_t(args.gamma_t)
 
@@ -457,7 +457,7 @@ def replay_instance(doc) -> dict:
 
     Raises MalformedInput naming the field unless the document is an object
     with a known ``kind``, ``n`` in 1..ORACLE_CAP, and either ``a`` (n numbers
-    in [0, 1]) or, for the integrator, a finite nonnegative ``gamma_t``.
+    in [0, 1]) or, for the integrator, a ``gamma_t`` in [0, _MAX_GAMMA_T].
     """
     if not isinstance(doc, dict):
         raise MalformedInput("<file>", "top-level value must be an object")
@@ -467,8 +467,8 @@ def replay_instance(doc) -> dict:
     n = _qubit_count(doc, ORACLE_CAP)
     if kind == "integrator":
         gamma_t = doc.get("gamma_t")
-        if not _is_number(gamma_t) or gamma_t < 0:
-            raise MalformedInput("gamma_t", f"expected a finite nonnegative number, got {gamma_t!r}")
+        if not _is_number(gamma_t) or not 0 <= gamma_t <= _MAX_GAMMA_T:
+            raise MalformedInput("gamma_t", f"expected a number in [0, {_MAX_GAMMA_T}], got {gamma_t!r}")
         gap = _integrator_dev(n, gamma_t)
         tolerance = INTEGRATOR_TOLERANCE
     else:

@@ -16,15 +16,31 @@ nonnegative orthant and each measured expectation is a single-bit parity sum:
 
 Minimizing the sum of squares over that set is exactly the Euclidean
 projection of the origin onto it, so Dykstra's alternating projections
-(affine set <-> orthant, with correction terms) converge to the optimum, and
-the correction vectors are the KKT multipliers: the affine correction p stays
-in the row space of the constraint matrix and the orthant correction q is
-nonpositive with exact complementarity, so
+(affine set <-> orthant, with correction terms; Boyle & Dykstra 1986)
+converge to the optimum.  Write B for the (n+1) x 2^n constraint matrix
+(Walsh characters, so B B^T = 2^n I and the affine projection is closed-form)
+and b = (1, a).  From x = p = q = 0 one Dykstra sweep reads
 
-    kkt_residual = max(||B lambda - b||_inf, 2 ||lambda + p + q||_inf)
+    u = x + p,  y = u - B^T (B u - b) / 2^n,  p = u - y,
+    v = y + q,  x = max(v, 0),  q = v - x.
 
-bounds the full KKT system violation.  The affine projection is closed-form
-because the constraint rows are orthogonal (Walsh characters).
+By induction u = -q, so p = B^T (B u - b) / 2^n and v = y + q = -p: the
+vector before the orthant clip lies in the row space of B, v = B^T nu, and
+the correction terms are p = -B^T nu and q = min(B^T nu, 0).  Using
+B min(B^T nu, 0) = 2^n nu - B max(B^T nu, 0), the sweep in the n+1 dual
+coefficients is
+
+    nu <- nu + b / 2^n - (B / 2^n) max(B^T nu, 0),     x = max(B^T nu, 0),
+
+which is the loop below: the same iterates in exact arithmetic, at the cost
+of two thin matrix-vector products per sweep instead of about ten 2^n-vector
+operations.  The correction terms are the KKT multipliers: p lies in the
+row space of B, q is nonpositive with exact complementarity, and
+stationarity x + p + q = 0 holds by construction, so
+
+    kkt_residual = ||B x - b||_inf
+
+is the whole KKT system violation.
 """
 
 from __future__ import annotations
@@ -45,6 +61,8 @@ _CHECK_EVERY = 100
 #: QP stopping residual and iteration budget.
 _TOL = 1e-9
 _MAX_ITER = 10**6
+#: Largest gamma*t the master-equation integrator accepts; see master_equation_evolve.
+_MAX_GAMMA_T = 30.0
 
 
 @dataclass(frozen=True)
@@ -71,7 +89,8 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
 
     Deterministic (no randomized restarts): identical inputs give identical
     iterates.  The returned spectrum is normalized to exact unit mass after
-    the stopping test; ``kkt_residual`` is the solver's stopping residual.
+    the stopping test; ``kkt_residual`` is the solver's stopping residual,
+    the primal gap ||B x - b||_inf.
     The constraint set is never empty on [0, 1]^n: the product spectrum
     prod_k (1 +- a_k)/2 satisfies it.  Stops once the residual is at most
     ``_TOL``; raises NotConverged past ``_MAX_ITER`` iterations.
@@ -82,22 +101,17 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     dim = 1 << record.n
     rows = _sign_matrix(record.n)
     b = np.concatenate(([1.0], record.a))
-    x = np.zeros(dim)
-    p = np.zeros(dim)
-    q = np.zeros(dim)
+    step_rows = rows / dim  # rows are orthogonal with norm^2 = dim
+    step_b = b / dim
+    nu = np.zeros(record.n + 1)
     iterations = 0
     residual = math.inf
     while iterations < _MAX_ITER:
-        for _ in range(_CHECK_EVERY):
-            u = x + p
-            y = u - rows.T @ (rows @ u - b) / dim  # rows are orthogonal, norm^2 = dim
-            p = u - y
-            v = y + q
-            x = np.maximum(v, 0.0)
-            q = v - x
-            iterations += 1
-        gap = float(np.abs(rows @ x - b).max())
-        residual = max(gap, 2.0 * float(np.abs(x + p + q).max()))
+        for _ in range(_CHECK_EVERY):  # one Dykstra sweep in dual form (module docstring)
+            nu += step_b - step_rows @ np.maximum(rows.T @ nu, 0.0)
+        iterations += _CHECK_EVERY
+        x = np.maximum(rows.T @ nu, 0.0)
+        residual = float(np.abs(rows @ x - b).max())
         if residual <= _TOL:
             # exact unit mass; shifts the other constraints by O(residual) only
             x /= x.sum()
@@ -198,24 +212,34 @@ def master_equation_evolve(
     the elementwise product with the rate matrix of :func:`_dephasing_rate`.
     That matrix is real symmetric with a zero diagonal and the initial state
     is real symmetric, so every iterate is exactly Hermitian and keeps its
-    diagonal, hence its trace, exactly; no symmetrization is needed.
+    diagonal, hence its trace, exactly; no symmetrization is needed.  Since
+    everything is real, the integration runs in real arithmetic, which gives
+    the real parts complex arithmetic would, bit for bit; the result is
+    returned as a complex matrix.
+
+    gamma*t is capped at ``_MAX_GAMMA_T`` = 30, which bounds the default step
+    count by 30,000.  Past gamma*t = ln(1e8) ~ 18.4 every off-diagonal
+    coefficient exp(-gamma*t*w), w >= 1, is below the 1e-8 integrator
+    tolerance, so longer runs add only time; the cap leaves room for
+    full-dephasing checks that want exp(-gamma*t) below 1e-10.
     """
     if graph.n > DENSE_CAP:
         raise DenseCapExceeded(graph.n, DENSE_CAP, "master-equation integration")
     if gamma < 0.0 or t < 0.0:
         raise ValueError("gamma and t must be nonnegative")
     gt = gamma * t
+    if not gt <= _MAX_GAMMA_T:
+        raise ValueError(f"gamma*t = {gt} above the integrator's bound {_MAX_GAMMA_T}")
     floor = max(1, math.ceil(1000.0 * gt))
     if steps is None:
         steps = max(100, floor)
     elif steps < floor:
         raise ValueError(f"steps = {steps} below accuracy floor {floor} (1000 per unit gamma*t)")
-    psi = graph_state_vector(graph)
-    rho = np.outer(psi, psi.conj())
-    if gt == 0.0:
-        return rho
-    rate = _dephasing_rate(graph.n, gamma)
-    dt = t / steps
-    for _ in range(steps):
-        rho = _rk4_step(rho, rate, dt)
-    return rho
+    psi = graph_state_vector(graph).real
+    rho = np.outer(psi, psi)
+    if gt != 0.0:
+        rate = _dephasing_rate(graph.n, gamma)
+        dt = t / steps
+        for _ in range(steps):
+            rho = _rk4_step(rho, rate, dt)
+    return rho.astype(complex)

@@ -185,9 +185,10 @@ class TestSimulate:
         assert "shots" in err
 
     def test_negative_gamma_t(self, tmp_path, capsys):
-        # NaN fails a plain "< 0" test, so it needs its own case; both the
-        # exact and the sampled path must reject it before computing anything
-        for gamma_t in ("-0.1", "nan"):
+        # NaN fails a plain "< 0" test and inf passes it, so both need their
+        # own case; the exact and the sampled path must reject them before
+        # computing anything
+        for gamma_t in ("-0.1", "nan", "inf"):
             for shots in ("exact", "100"):
                 code, _, err = run(capsys, "simulate", "--graph", "path-2", "--gamma-t", gamma_t,
                                    "--shots", shots, "--output", str(tmp_path / "x.json"))
@@ -274,6 +275,7 @@ class TestOracleCheck:
             ({"kind": "integrator", "n": 2, "gamma_t": -0.1}, "gamma_t"),
             ({"kind": "integrator", "n": 2, "gamma_t": float("nan")}, "gamma_t"),
             ({"kind": "integrator", "n": 2, "gamma_t": "0.1"}, "gamma_t"),
+            ({"kind": "integrator", "n": 2, "gamma_t": 1e7}, "gamma_t"),
             ({"kind": "integrator", "n": 9, "gamma_t": 0.1}, "n"),
         ],
     )

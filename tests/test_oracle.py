@@ -22,14 +22,41 @@ from stabpurity import (
     qp_min_purity,
     twirl,
 )
-from stabpurity.oracle import _dephasing_rate, _rk4_step
-from support import optimal_record, random_graph
+from stabpurity.oracle import (
+    _CHECK_EVERY,
+    _MAX_GAMMA_T,
+    _TOL,
+    _dephasing_rate,
+    _rk4_step,
+    _sign_matrix,
+)
+from support import optimal_record, random_graph, suboptimal_record
 
 A01 = math.exp(-0.1)
 
 
 def record(*a):
     return MeasurementRecord(len(a), np.array(a, float))
+
+
+def primal_dykstra(rec):
+    """Dykstra's alternating projections on the 2^n primal iterates, same stopping rule."""
+    dim = 1 << rec.n
+    rows = _sign_matrix(rec.n)
+    b = np.concatenate(([1.0], rec.a))
+    x, p, q = np.zeros(dim), np.zeros(dim), np.zeros(dim)
+    iterations = 0
+    while True:
+        for _ in range(_CHECK_EVERY):
+            u = x + p
+            y = u - rows.T @ (rows @ u - b) / dim
+            p = u - y
+            v = y + q
+            x = np.maximum(v, 0.0)
+            q = v - x
+        iterations += _CHECK_EVERY
+        if max(np.abs(rows @ x - b).max(), 2.0 * np.abs(x + p + q).max()) <= _TOL:
+            return x / x.sum(), iterations
 
 
 class TestQp:
@@ -92,6 +119,19 @@ class TestQp:
         s1, s2 = qp_min_purity(rec), qp_min_purity(rec)
         np.testing.assert_array_equal(s1.lambda_star, s2.lambda_star)
         assert s1.iterations == s2.iterations
+
+    @pytest.mark.parametrize("n", range(1, ORACLE_CAP + 1))
+    def test_dual_form_is_dykstra(self, n):
+        # the dual loop carries n + 1 coefficients instead of the 2^n iterates;
+        # in exact arithmetic both are the same sequence, so the stopping test
+        # fires at the same sweep and the spectra agree to rounding
+        rng = np.random.default_rng(60 + n)
+        records = [optimal_record(rng, n)] + ([suboptimal_record(rng, n)] if n >= 2 else [])
+        for rec in records:
+            lam, iterations = primal_dykstra(rec)
+            sol = qp_min_purity(rec)
+            assert sol.iterations == iterations
+            assert np.abs(sol.lambda_star - lam).max() <= 1e-12
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sign-normalized"):
@@ -200,6 +240,27 @@ class TestIntegrator:
             z_i = np.kron(np.kron(np.eye(1 << (n - 1 - i)), z), np.eye(1 << i))
             dense += z_i @ rho @ z_i - rho
         np.testing.assert_allclose(_dephasing_rate(n, gamma) * rho, (gamma / 2) * dense, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["path-4", "ring-6", "star-6"])
+    def test_real_arithmetic_is_bit_identical(self, name):
+        # rho_0 and the rate are real, so complex arithmetic only carries zeros
+        g = GraphSpec.preset(name)
+        for gt in (0.1, 0.5):
+            psi = graph_state_vector(g)
+            rho = np.outer(psi, psi.conj())
+            rate = _dephasing_rate(g.n, 1.0)
+            steps = max(100, math.ceil(1000.0 * gt))
+            for _ in range(steps):
+                rho = _rk4_step(rho, rate, gt / steps)
+            evolved = master_equation_evolve(g, gamma=1.0, t=gt)
+            assert evolved.dtype == rho.dtype
+            assert np.array_equal(evolved, rho)
+
+    def test_gamma_t_bound(self):
+        g = GraphSpec(1)
+        for t in (_MAX_GAMMA_T * 1.001, 1e7, math.inf, math.nan):
+            with pytest.raises(ValueError, match="bound"):
+                master_equation_evolve(g, gamma=1.0, t=t)
 
     def test_step_floor_enforced(self):
         g = GraphSpec(1)
