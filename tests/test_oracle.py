@@ -245,10 +245,10 @@ class TestIntegrator:
     def test_real_arithmetic_is_bit_identical(self, name):
         # rho_0 and the rate are real, so complex arithmetic only carries zeros
         g = GraphSpec.preset(name)
+        psi = graph_state_vector(g)
+        rate = _dephasing_rate(g.n, 1.0)
         for gt in (0.1, 0.5):
-            psi = graph_state_vector(g)
             rho = np.outer(psi, psi.conj())
-            rate = _dephasing_rate(g.n, 1.0)
             steps = max(100, math.ceil(1000.0 * gt))
             for _ in range(steps):
                 rho = _rk4_step(rho, rate, gt / steps)
