@@ -38,8 +38,8 @@ class InfeasibleRecord(StabPurityError):
 class CertificateInvalid(StabPurityError):
     """Constructed multipliers fail an optimality condition.
 
-    Carries the failing condition name, the offending index, the value, and the
-    full certificate so callers can still inspect residuals.
+    Carries the failing condition name, the offending index (a bitmask over
+    generators), the value, and the certificate so callers can still inspect it.
     """
 
     def __init__(self, condition: str, index: int, value: float, certificate=None):
@@ -48,7 +48,7 @@ class CertificateInvalid(StabPurityError):
         self.value = value
         self.certificate = certificate
         super().__init__(
-            f"optimality certificate failed: {condition} at index {index} "
+            f"optimality certificate failed: {condition} at index {index:#x} "
             f"(value = {value:.6g}); the closed-form purity is an upper bound but "
             f"may exceed the true minimum for this record"
         )

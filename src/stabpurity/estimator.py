@@ -8,8 +8,9 @@ data is stabilizer-diagonal with coefficients
 
 whose spectrum consists of lambda_0 = (sum_k a_k - n + 2) / 2, the n values
 (1 - a_k) / 2 at the single-bit indices, and zeros elsewhere.  Everything the
-estimator reports is therefore O(n); full 2^n vectors are materialized only
-for certificate checking under the dense cap.  That spectrum is derived in
+estimator reports is therefore O(n), and the optimality certificate
+O(n log n); only :func:`min_purity_coefficients` materializes a 2^n vector,
+under the dense cap.  That spectrum is derived in
 one place, :func:`_spectrum`; purity, error bars, entropy and certificate all
 read it from there (through :func:`_feasible_spectrum` where the gate below
 applies).
@@ -30,11 +31,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .diagonal import CoeffVector, walsh_hadamard_inplace
+from .diagonal import CoeffVector
 from .errors import CertificateInvalid, DenseCapExceeded, InfeasibleRecord
 from .stabilizer import DENSE_CAP, GraphSpec
 
-#: Certificate acceptance thresholds: residuals below this are floating-point noise.
+#: Certificate acceptance threshold: a min_mu above -KKT_TOL is floating-point noise.
 KKT_TOL = 1e-9
 #: Slack on exact arithmetic comparisons (feasibility, optimality boundary).
 _EXACT_TOL = 1e-12
@@ -98,23 +99,17 @@ class KktCertificate:
     """Multipliers certifying optimality of the closed-form minimizer.
 
     ``nu`` holds the equality multipliers: nu[0] at the all-zero index,
-    nu[k] (k >= 1) at the index with only bit k-1 set.  ``mu`` is the full
-    2^n vector of inequality multipliers.
+    nu[k] (k >= 1) at the index with only bit k-1 set.  Of the 2^n inequality
+    multipliers only their minimum ``min_mu`` is kept: the rest of the KKT
+    conditions hold by construction (derivation in :func:`kkt_certificate`).
     """
 
-    mu: np.ndarray
     nu: np.ndarray
-    stationarity_residual: float
     min_mu: float
-    complementarity_residual: float
 
     @property
     def valid(self) -> bool:
-        return (
-            self.min_mu >= -KKT_TOL
-            and self.stationarity_residual <= KKT_TOL
-            and self.complementarity_residual <= KKT_TOL
-        )
+        return self.min_mu >= -KKT_TOL
 
 
 @dataclass(frozen=True)
@@ -274,59 +269,43 @@ def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> 
 
 
 def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
-    """Construct and check the optimality multipliers for the closed form.
+    """Construct and check the optimality multipliers for the closed form, in O(n log n).
 
     Equality multipliers: nu at a single-bit index is that eigenvalue minus
-    lambda_0; nu at the zero index makes mu vanish there.  The inequality
-    multipliers are then mu = 2 lambda + A nu with A the (unnormalized)
-    sign matrix of the eigenvalue transform.  Validity requires mu >= 0,
-    componentwise complementarity mu * lambda = 0, and the stationarity
-    identity (2/2^n) c - (1/2^n) A mu + nu = 0.
+    lambda_0; nu at the zero index is -2 lambda_0 minus their sum.  With A the
+    (unnormalized) sign matrix of the eigenvalue transform and s_k = (1 - a_k)/2,
+    the inequality multipliers mu = 2 lambda + A nu at an index j with m bits are
 
-    Raises CertificateInvalid (carrying the certificate and the failing index)
-    whenever a condition fails beyond KKT_TOL, which for exact-arithmetic
-    reasons happens iff :func:`closed_form_is_optimal` is False.
+        mu_j = 2 lambda_j - 2 lambda_0 - 2 sum_{k in j} nu_k
+             = 2 lambda_j + 2 (m - 1) lambda_0 - 2 sum_{k in j} s_k,
+
+    exactly 0 on the support (m <= 1), so complementarity and stationarity hold
+    by construction.  With S_m the sum of the m largest s_k (one stable sort
+    and a prefix sum), min_mu = min(0, min_{m >= 2} 2 ((m - 1) lambda_0 - S_m)).
+
+    Raises CertificateInvalid when min_mu < -KKT_TOL, with the certificate and,
+    as the index, the bitmask of the m* generators with the largest s_k for the
+    minimizing m*.  The increments lambda_0 - s_(m+1) grow with m, so this
+    happens iff :func:`closed_form_is_optimal` is False.
     """
     _feasible_spectrum(record)
-    if record.n > DENSE_CAP:
-        raise DenseCapExceeded(record.n, DENSE_CAP, "certificate multipliers")
     lam0, singles = _spectrum(record.a)  # unclipped: certify the candidate as constructed
-    dim = 1 << record.n
-    single_idx = 1 << np.arange(record.n)
-    lam = np.zeros(dim)
-    lam[0] = lam0
-    lam[single_idx] = singles
-    c = min_purity_coefficients(record).values
+    nu = np.concatenate(([0.0], singles - lam0))
+    nu[0] = -2.0 * lam0 - nu[1:].sum()
 
-    nu_full = np.zeros(dim)
-    nu_full[single_idx] = singles - lam0
-    nu_full[0] = -2.0 * lam0 - nu_full.sum()
+    s = singles.tolist()
+    order = sorted(range(record.n), key=s.__getitem__, reverse=True)  # stable on ties
+    min_mu, m_star, top = 0.0, 0, 0.0
+    for m, k in enumerate(order, 1):
+        top += s[k]
+        mu = 2.0 * ((m - 1) * lam0 - top)
+        if m >= 2 and mu < min_mu:
+            min_mu, m_star = mu, m
 
-    mu = nu_full.copy()
-    walsh_hadamard_inplace(mu)
-    mu += 2.0 * lam
-
-    residual = (2.0 / dim) * c + nu_full
-    a_mu = mu.copy()
-    walsh_hadamard_inplace(a_mu)
-    residual -= a_mu / dim
-
-    nu = nu_full[np.concatenate(([0], single_idx))]
-    cert = KktCertificate(
-        mu=mu,
-        nu=nu,
-        stationarity_residual=float(np.abs(residual).max()),
-        min_mu=float(mu.min()),
-        complementarity_residual=float(np.abs(mu * lam).max()),
-    )
-    if cert.min_mu < -KKT_TOL:
-        raise CertificateInvalid("mu >= 0", int(np.argmin(mu)), cert.min_mu, cert)
-    if cert.stationarity_residual > KKT_TOL:
-        idx = int(np.abs(residual).argmax())
-        raise CertificateInvalid("stationarity", idx, cert.stationarity_residual, cert)
-    if cert.complementarity_residual > KKT_TOL:
-        idx = int(np.abs(mu * lam).argmax())
-        raise CertificateInvalid("complementarity", idx, cert.complementarity_residual, cert)
+    cert = KktCertificate(nu=nu, min_mu=min_mu)
+    if not cert.valid:
+        index = sum(1 << k for k in order[:m_star])
+        raise CertificateInvalid("mu >= 0", index, min_mu, cert)
     return cert
 
 

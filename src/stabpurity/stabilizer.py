@@ -81,10 +81,16 @@ class GraphSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":
-        """Parse the JSON form {"n": int, "edges": [[u, v], ...]}."""
-        if "n" not in d:
-            raise ValueError("graph object missing field 'n'")
-        return cls.from_edges(d["n"], d.get("edges", []))
+        """Parse the JSON form {"n": int, "edges": [[u, v], ...]}, coercing nothing."""
+        if not isinstance(d, dict) or "n" not in d:
+            raise ValueError("graph must be an object with field 'n'")
+        edges = d.get("edges", [])
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise ValueError("graph edges must be a list of [u, v] pairs")
+        for value in (d["n"], *(v for e in edges for v in e)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"graph n and vertices must be integers, got {value!r}")
+        return cls.from_edges(d["n"], edges)
 
     @classmethod
     def preset(cls, name: str) -> "GraphSpec":

@@ -1,11 +1,13 @@
 """Shared record/graph samplers for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from stabpurity import (
     GraphSpec,
     MeasurementRecord,
     closed_form_is_optimal,
+    min_purity_coefficients,
     walsh_hadamard_inplace,
 )
 
@@ -16,6 +18,14 @@ def random_graph(rng, n: int) -> GraphSpec:
     return GraphSpec.from_edges(n, edges)
 
 
+def _within_budget(deficits: np.ndarray, budget: float) -> MeasurementRecord:
+    """Record a = 1 - deficits, with the deficits rescaled to sum to at most budget."""
+    total = deficits.sum()
+    if total > budget:
+        deficits = deficits * (budget / total)
+    return MeasurementRecord(deficits.size, 1.0 - deficits)
+
+
 def feasible_record(rng, n: int) -> MeasurementRecord:
     """Record with a in [0, 1]^n and sum(a) >= n - 2 (the hard feasibility gate).
 
@@ -24,11 +34,15 @@ def feasible_record(rng, n: int) -> MeasurementRecord:
     only an upper bound.
     """
     deficits = rng.uniform(0.0, 1.0, size=n)
-    budget = 2.0 * rng.uniform(0.0, 1.0)
-    total = deficits.sum()
-    if total > budget:
-        deficits *= budget / total
-    return MeasurementRecord(n, 1.0 - deficits)
+    return _within_budget(deficits, 2.0 * rng.uniform(0.0, 1.0))
+
+
+@st.composite
+def feasible_records(draw, max_n: int) -> MeasurementRecord:
+    """Hypothesis strategy for :func:`feasible_record` at n = 1..max_n."""
+    n = draw(st.integers(1, max_n))
+    deficits = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return _within_budget(np.array(deficits), 2.0 * draw(st.floats(0.0, 1.0)))
 
 
 def optimal_record(rng, n: int) -> MeasurementRecord:
@@ -64,3 +78,34 @@ def random_physical_coeffs(rng, n: int) -> np.ndarray:
     walsh_hadamard_inplace(c)
     c[0] = 1.0  # exact; the transform leaves sum(lam) = 1 up to rounding
     return c
+
+
+def dense_kkt(record: MeasurementRecord, nu) -> tuple[np.ndarray, float, float]:
+    """Full 2^n inequality multipliers and both KKT residuals for the given nu.
+
+    The dense reference for ``kkt_certificate`` (n <= DENSE_CAP): nu is
+    spread onto the zero and single-bit indices, mu = 2 lambda + A nu with A
+    the unnormalized sign matrix, and the residuals are
+    max |(2/2^n) c - (1/2^n) A mu + nu| (stationarity) and max |mu * lambda|
+    (complementarity), with c the closed-form coefficient vector.
+    Returns (mu, stationarity residual, complementarity residual).
+    """
+    n, a = record.n, record.a
+    dim = 1 << n
+    single_idx = 1 << np.arange(n)
+    lam = np.zeros(dim)
+    lam[0] = (a.sum() - n + 2.0) / 2.0
+    lam[single_idx] = (1.0 - a) / 2.0
+    c = min_purity_coefficients(record).values
+
+    nu_full = np.zeros(dim)
+    nu_full[0] = nu[0]
+    nu_full[single_idx] = nu[1:]
+    mu = nu_full.copy()
+    walsh_hadamard_inplace(mu)
+    mu += 2.0 * lam
+
+    a_mu = mu.copy()
+    walsh_hadamard_inplace(a_mu)
+    stationarity = (2.0 / dim) * c + nu_full - a_mu / dim
+    return mu, float(np.abs(stationarity).max()), float(np.abs(mu * lam).max())

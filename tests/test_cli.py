@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from stabpurity import cli
 from stabpurity.cli import (
     build_report,
     load_measurement,
@@ -35,7 +36,7 @@ class TestEstimate:
         assert round(report["s_lower"], 4) == 0.3803
         assert round(report["s_max"], 4) == 0.3827
         assert report["certificate"]["valid"] is True
-        assert report["feasible"] is True
+        assert "feasible" not in report
         assert report["signs_flipped"] == "00"
 
     def test_perfect_record(self, tmp_path, capsys):
@@ -75,6 +76,10 @@ class TestEstimate:
             ({"n": 1, "a": [0.5], "shots": [0]}, "shots"),
             ({"n": 2, "a": [0.5, 0.5], "graph": {"n": 3, "edges": []}}, "graph"),
             ({"n": 0, "a": []}, "n"),
+            ({"n": 3, "a": [0.5] * 3, "graph": {"n": 3.7, "edges": []}}, "graph"),
+            ({"n": 2, "a": [0.5, 0.5], "graph": {"n": "2", "edges": []}}, "graph"),
+            ({"n": 2, "a": [0.5, 0.5], "graph": {"n": 2, "edges": [[0, 1.9]]}}, "graph"),
+            ({"n": 3, "a": [0.5] * 3, "graph": {"n": 3, "edges": [[True, 2]]}}, "graph"),
         ],
     )
     def test_malformed_inputs_name_the_field(self, tmp_path, capsys, doc, fieldname):
@@ -82,6 +87,15 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--input", f)
         assert code == 1
         assert f"'{fieldname}'" in err
+
+    def test_output_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        for a in ([0.9, 0.9, 0.9], [0.2, 0.2, 0.2]):  # a report, then an infeasible error document
+            f = write_json(tmp_path / "m.json", {"n": 3, "a": a})
+            code, out, err = run(capsys, "estimate", "--input", f, "--output", str(target))
+            assert code == 1, a
+            assert out == ""
+            assert str(target) in err
 
     def test_not_json_at_all(self, tmp_path, capsys):
         f = tmp_path / "junk.json"
@@ -166,10 +180,13 @@ class TestSimulate:
         assert report["p_lower"] <= report["p_min"] <= report["p_upper"]
 
     def test_invalid_graph(self, tmp_path, capsys):
-        code, _, err = run(capsys, "simulate", "--graph", "blob-3", "--gamma-t", "0.1",
-                           "--output", str(tmp_path / "x.json"))
-        assert code == 1
-        assert "graph" in err
+        float_vertex = write_json(tmp_path / "g.json", {"n": 2, "edges": [[0, 1.9]]})
+        for spec in ("blob-3", float_vertex):
+            code, _, err = run(capsys, "simulate", "--graph", spec, "--gamma-t", "0.1",
+                               "--output", str(tmp_path / "x.json"))
+            assert code == 1, spec
+            assert "graph" in err
+        assert not (tmp_path / "x.json").exists()
 
     def test_graph_file(self, tmp_path, capsys):
         g = write_json(tmp_path / "g.json", {"n": 2, "edges": [[0, 1]]})
@@ -177,6 +194,21 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--graph", g, "--gamma-t", "0.1",
                          "--output", str(out))
         assert code == 0
+
+    def test_negative_seed(self, tmp_path, capsys):
+        for shots in ("exact", "100"):
+            code, _, err = run(capsys, "simulate", "--graph", "path-2", "--gamma-t", "0.1",
+                               "--shots", shots, "--seed", "-1", "--output", str(tmp_path / "x.json"))
+            assert code == 1, shots
+            assert "--seed" in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_output_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "s.json"
+        code, _, err = run(capsys, "simulate", "--graph", "path-2", "--gamma-t", "0.1",
+                           "--output", str(target))
+        assert code == 1
+        assert str(target) in err
 
     def test_bad_shots_value(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--graph", "path-2", "--gamma-t", "0.1",
@@ -295,6 +327,20 @@ class TestOracleCheck:
         code, _, err = run(capsys, "oracle-check", "--n-min", "5", "--n-max", "3")
         assert code == 1
         assert "n-min" in err
+
+    def test_negative_seed(self, capsys):
+        code, out, err = run(capsys, "oracle-check", "--trials", "1", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err
+
+    def test_failure_output_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "QP_TOLERANCE", -1.0)  # every trial breaches
+        target = tmp_path / "missing" / "failure.json"
+        code, _, err = run(capsys, "oracle-check", "--trials", "1", "--n-max", "2",
+                           "--failure-output", str(target))
+        assert code == 1
+        assert str(target) in err
 
 
 class TestReportPrecision:

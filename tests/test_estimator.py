@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from stabpurity import (
     DENSE_CAP,
@@ -26,7 +27,7 @@ from stabpurity import (
     purity_error_bars,
     qp_min_purity,
 )
-from support import feasible_record, optimal_record, suboptimal_record
+from support import dense_kkt, feasible_record, feasible_records, optimal_record, suboptimal_record
 
 A01 = math.exp(-0.1)
 
@@ -221,12 +222,15 @@ class TestErrorBars:
 
 class TestCertificate:
     def test_two_qubit_reference(self):
-        cert = kkt_certificate(record(0.9, 0.9))
+        rec = record(0.9, 0.9)
+        cert = kkt_certificate(rec)
         assert cert.valid
-        assert cert.mu[0] == pytest.approx(0.0, abs=1e-12)
-        assert cert.mu[1] == pytest.approx(0.0, abs=1e-12)
-        assert cert.mu[2] == pytest.approx(0.0, abs=1e-12)
-        assert cert.mu[3] == pytest.approx(2 * (0.9 + 0.9 - 1.0), abs=1e-12)
+        mu, _, _ = dense_kkt(rec, cert.nu)
+        assert mu[0] == pytest.approx(0.0, abs=1e-12)
+        assert mu[1] == pytest.approx(0.0, abs=1e-12)
+        assert mu[2] == pytest.approx(0.0, abs=1e-12)
+        assert mu[3] == pytest.approx(2 * (0.9 + 0.9 - 1.0), abs=1e-12)
+        assert cert.min_mu == 0.0
 
     def test_two_qubit_multiplier_formulas_exact(self):
         # dyadic inputs make both evaluation orders exact in floating point
@@ -247,10 +251,12 @@ class TestCertificate:
         rng = np.random.default_rng(30)
         for trial in range(60):
             n = 2 + trial % 3
-            cert = kkt_certificate(optimal_record(rng, n))
+            rec = optimal_record(rng, n)
+            cert = kkt_certificate(rec)
             assert cert.valid
-            assert cert.stationarity_residual <= 1e-9
-            assert cert.complementarity_residual <= 1e-9
+            _, stationarity, complementarity = dense_kkt(rec, cert.nu)
+            assert stationarity <= 1e-9
+            assert complementarity <= 1e-9
 
     def test_detects_suboptimal_closed_form(self):
         rng = np.random.default_rng(31)
@@ -282,10 +288,36 @@ class TestCertificate:
         with pytest.raises(InfeasibleRecord):
             kkt_certificate(record(0.1, 0.1, 0.1))
 
-    def test_cap_enforced(self):
-        rec = MeasurementRecord(11, np.full(11, 0.99))
-        with pytest.raises(DenseCapExceeded):
-            kkt_certificate(rec)
+    def test_certified_above_dense_cap(self):
+        # nothing of size 2^n is built: at n = 10^5 it could not be
+        rng = np.random.default_rng(33)
+        for n in (DENSE_CAP + 1, 200, 10**5):
+            rec = optimal_record(rng, n)
+            assert kkt_certificate(rec).valid == closed_form_is_optimal(rec) is True
+            low = rng.choice(n, size=2, replace=False)
+            a = np.ones(n)
+            a[low] = 0.3  # lambda_0 = 0.3 < 0.35 + 0.35
+            rec = MeasurementRecord(n, a)
+            with pytest.raises(CertificateInvalid) as err:
+                kkt_certificate(rec)
+            assert err.value.certificate.valid == closed_form_is_optimal(rec) is False
+            assert err.value.index == (1 << int(low[0])) | (1 << int(low[1]))
+            assert err.value.value == pytest.approx(2 * (0.3 - 0.7))
+
+    @given(feasible_records(max_n=DENSE_CAP))
+    @settings(max_examples=300)
+    def test_closed_form_matches_dense_multipliers(self, rec):
+        try:
+            cert, index = kkt_certificate(rec), None
+        except CertificateInvalid as exc:
+            cert, index = exc.certificate, exc.index
+        mu, stationarity, complementarity = dense_kkt(rec, cert.nu)
+        assert abs(cert.min_mu - mu.min()) <= 1e-12
+        assert stationarity <= 1e-9 and complementarity <= 1e-9
+        assert cert.valid == closed_form_is_optimal(rec)
+        assert (index is None) == cert.valid
+        if index is not None:
+            assert abs(mu[index] - cert.min_mu) <= 1e-12
 
 
 class TestPairwiseCheck:

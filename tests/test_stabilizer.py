@@ -54,6 +54,25 @@ class TestGraphSpec:
         g = GraphSpec.from_dict({"n": 3, "edges": [[2, 1], [0, 1]]})
         assert GraphSpec.from_dict(g.to_dict()) == g
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3.7, "edges": []},
+            {"n": "3", "edges": []},
+            {"n": True, "edges": []},
+            {"n": 3, "edges": [[0, 1.9]]},
+            {"n": 3, "edges": [[True, 2]]},
+            {"n": 3, "edges": [[0, 1, 2]]},
+            {"n": 3, "edges": [0, 1]},
+            {"n": 3, "edges": 5},
+            [3, []],
+        ],
+    )
+    def test_dict_form_is_not_coerced(self, doc):
+        with pytest.raises(ValueError):
+            GraphSpec.from_dict(doc)
+        assert GraphSpec.from_edges(3.0, [(True, 2.0)]).edges == {(1, 2)}  # callers in the program
+
 
 class TestGenerators:
     def test_two_qubit_path(self):
