@@ -26,7 +26,6 @@ from .estimator import (
     KktCertificate,
     MeasurementRecord,
     PurityEstimate,
-    SpectrumSummary,
     binary_entropy,
     closed_form_is_optimal,
     entropy_lower_bound,
@@ -48,8 +47,6 @@ from .oracle import (
     qp_min_purity,
 )
 from .simulator import (
-    NoiseParams,
-    ShotPlan,
     dephased_coefficients,
     exact_entropy_dephased,
     exact_purity_dephased,
@@ -60,7 +57,6 @@ from .stabilizer import (
     DENSE_CAP,
     GraphSpec,
     PauliString,
-    commutes,
     dense_matrix,
     expectation_value,
     generators,

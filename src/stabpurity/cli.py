@@ -6,8 +6,9 @@ Commands:
     reproduce-tables  closed-form summary table for dephased path graphs
     oracle-check      cross-check closed forms against the numeric solvers
 
-Exit codes: 0 success, 1 malformed input, invalid graph or unwritable output
-file, 2 infeasible record, 3 tolerance breach in a check command.
+Exit codes: 0 success, 1 malformed input, invalid graph, out-of-range option
+or unwritable output file, 2 infeasible record, 3 tolerance breach in a check
+command.
 
 All file I/O is UTF-8 JSON with sorted keys, so identical arguments and
 inputs produce byte-identical outputs.  Measurement schema:
@@ -16,7 +17,9 @@ inputs produce byte-identical outputs.  Measurement schema:
      "graph": {"n": int, "edges": [[u, v], ...]}, "meta": {...}}
 
 with delta_a, shots, graph, and meta optional (the estimator needs only n and
-a; the graph, when present, scopes the pairwise-sum warning to its edges).
+a; shots is checked but not used; the graph, when present, scopes the
+pairwise-sum warning to its edges; meta must hold no NaN or infinity, which
+the JSON report could not carry).
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ from .estimator import (
 from .oracle import _MAX_GAMMA_T, ORACLE_CAP, master_equation_evolve, max_entropy_numeric, qp_min_purity
 from .simulator import (
     RNG_ALGORITHM,
-    NoiseParams,
-    ShotPlan,
     dephased_coefficients,
     exact_entropy_dephased,
     exact_purity_dephased,
@@ -93,12 +94,13 @@ def _load_json(path: str):
         raise MalformedInput("<file>", f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also int literals over 4300 digits, deep nesting
         raise MalformedInput("<file>", f"{path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # an int too large for a float is a number; range checks compare it exactly
+    return (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and math.isfinite(v))
 
 
 def _qubit_count(doc: dict, n_max: float = math.inf) -> int:
@@ -135,14 +137,12 @@ def load_measurement(path: str):
     n = _qubit_count(doc)
     a = _number_list(doc, "a", n, -1.0, 1.0)
     delta = _number_list(doc, "delta_a", n, 0.0, 2.0) if "delta_a" in doc else [0.0] * n
-    shots = None
     if doc.get("shots") is not None:
         raw = doc["shots"]
         if not isinstance(raw, list) or len(raw) != n or any(
             not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in raw
         ):
             raise MalformedInput("shots", f"expected a list of {n} positive integers")
-        shots = raw
     graph = None
     if doc.get("graph") is not None:
         try:
@@ -154,7 +154,11 @@ def load_measurement(path: str):
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise MalformedInput("meta", "expected an object")
-    record = MeasurementRecord(n, np.array(a), np.array(delta), shots)
+    try:
+        json.dumps(meta, allow_nan=False)  # the report copies meta, so it must be strict JSON
+    except ValueError as exc:
+        raise MalformedInput("meta", "NaN and Infinity are not valid JSON numbers") from exc
+    record = MeasurementRecord(n, np.array(a), np.array(delta))
     return record, graph, meta or {}, digest
 
 
@@ -187,9 +191,9 @@ def build_report(record, graph, meta, digest, with_certificate: bool = True) -> 
         "p_upper": pur.p_upper,
         "lambda0": pur.lambda0,
         "spectrum": {
-            "lambda0": pur.spectrum_summary.lambda0,
-            "singles": list(pur.spectrum_summary.singles),
-            "zero_multiplicity": pur.spectrum_summary.zero_multiplicity,
+            "lambda0": pur.lambda0,
+            "singles": list(pur.singles),
+            "zero_multiplicity": (1 << normalized.n) - normalized.n - 1,
         },
         "s_lower": ent.s_lower,
         "s_max": ent.s_max,
@@ -258,7 +262,6 @@ def cmd_simulate(args) -> int:
     if args.seed < 0:
         print("error: --seed must be nonnegative", file=sys.stderr)
         return 1
-    noise = NoiseParams.from_gamma_t(args.gamma_t)
 
     meta = {
         "generator": "stabpurity simulate",
@@ -266,9 +269,9 @@ def cmd_simulate(args) -> int:
         "graph": args.graph,
         "gamma_t": args.gamma_t,
     }
-    a_true = [math.exp(-noise.gamma_t)] * graph.n
+    a_true = [math.exp(-args.gamma_t)] * graph.n
     if args.shots == "exact":
-        record = exact_record(graph, noise)
+        record = exact_record(graph, args.gamma_t)
         meta["shots"] = "exact"
     else:
         try:
@@ -276,10 +279,10 @@ def cmd_simulate(args) -> int:
         except ValueError:
             print(f"error: --shots must be an integer or 'exact', got {args.shots!r}", file=sys.stderr)
             return 1
-        if shots < 1:
-            print("error: --shots must be positive", file=sys.stderr)
+        if not 1 <= shots < 2**63:  # numpy's binomial sampler takes an int64 count
+            print("error: --shots must be between 1 and 2**63 - 1", file=sys.stderr)
             return 1
-        record = sample_measurements(np.array(a_true), ShotPlan(shots, args.seed))
+        record = sample_measurements(np.array(a_true), shots, args.seed)
         meta.update({"shots": shots, "seed": args.seed, "rng": RNG_ALGORITHM})
 
     measurement = {
@@ -289,15 +292,15 @@ def cmd_simulate(args) -> int:
         "delta_a": [float(x) for x in record.delta_a],
         "meta": meta,
     }
-    if record.shots is not None:
-        measurement["shots"] = [int(s) for s in record.shots]
+    if args.shots != "exact":
+        measurement["shots"] = [shots] * graph.n
     truth = {
         "n": graph.n,
         "graph": graph.to_dict(),
         "gamma_t": args.gamma_t,
         "a_exact": a_true,
-        "purity_exact": exact_purity_dephased(graph, noise),
-        "entropy_exact": exact_entropy_dephased(graph, noise),
+        "purity_exact": exact_purity_dephased(graph, args.gamma_t),
+        "entropy_exact": exact_entropy_dephased(graph, args.gamma_t),
     }
     _write_json(measurement, args.output)
     _write_json(truth, _truth_path(args.output))
@@ -320,13 +323,12 @@ def reference_table_rows() -> list[dict]:
     numbers this command is checked against).
     """
     rows = []
-    noise = NoiseParams.from_gamma_t(TABLES_GAMMA_T)
     for n in (2, 3, 4):
         graph = GraphSpec.preset(f"path-{n}")
-        record = exact_record(graph, noise)
-        exact_p = exact_purity_dephased(graph, noise)
+        record = exact_record(graph, TABLES_GAMMA_T)
+        exact_p = exact_purity_dephased(graph, TABLES_GAMMA_T)
         est_p = min_purity(record).p_min
-        exact_s = exact_entropy_dephased(graph, noise)
+        exact_s = exact_entropy_dephased(graph, TABLES_GAMMA_T)
         est_s = estimate_entropy(record).s_lower
         row = {"n": n, "gamma_t": TABLES_GAMMA_T}
         for name, exact, est, ref in (
@@ -389,7 +391,7 @@ def _integrator_dev(n: int, gamma_t: float) -> float:
     """Largest coefficient deviation of the integrated dephased path-n from the closed form."""
     graph = GraphSpec.preset(f"path-{n}")
     rho = master_equation_evolve(graph, gamma=1.0, t=gamma_t)
-    closed = dephased_coefficients(graph, NoiseParams.from_gamma_t(gamma_t))
+    closed = dephased_coefficients(graph, gamma_t)
     return float(np.abs(twirl(rho, graph).values - closed.values).max())
 
 
@@ -491,6 +493,9 @@ def cmd_oracle_check(args) -> int:
         return 1
     if args.seed < 0:
         print("error: --seed must be nonnegative", file=sys.stderr)
+        return 1
+    if args.trials < 0:
+        print("error: --trials must be nonnegative", file=sys.stderr)
         return 1
     summary = run_oracle_trials(args.trials, args.n_min, args.n_max, args.seed)
     failure = summary.pop("failure")

@@ -54,10 +54,6 @@ class CoeffVector:
     def __getitem__(self, i: int) -> float:
         return float(self.values[i])
 
-    def generator_expectations(self) -> np.ndarray:
-        """The n single-generator coefficients c[2^k]."""
-        return self.values[1 << np.arange(self.n)]
-
 
 @dataclass(frozen=True)
 class Spectrum:

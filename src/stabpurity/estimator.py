@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,20 +35,17 @@ from .diagonal import CoeffVector
 from .errors import CertificateInvalid, DenseCapExceeded, InfeasibleRecord
 from .stabilizer import DENSE_CAP, GraphSpec
 
-#: Certificate acceptance threshold: a min_mu above -KKT_TOL is floating-point noise.
-KKT_TOL = 1e-9
 #: Slack on exact arithmetic comparisons (feasibility, optimality boundary).
 _EXACT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Generator expectations a_k with uncertainties and optional shot counts."""
+    """Generator expectations a_k with their uncertainties delta_a_k."""
 
     n: int
     a: np.ndarray
     delta_a: np.ndarray = None
-    shots: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -68,29 +65,17 @@ class MeasurementRecord:
         delta.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "delta_a", delta)
-        if self.shots is not None:
-            shots = np.atleast_1d(np.array(self.shots, dtype=np.int64))
-            if shots.shape != (self.n,) or np.any(shots < 1):
-                raise ValueError("shots must be n positive integers")
-            shots.setflags(write=False)
-            object.__setattr__(self, "shots", shots)
-
-
-class SpectrumSummary(NamedTuple):
-    """O(n) description of the least-purity spectrum."""
-
-    lambda0: float
-    singles: tuple
-    zero_multiplicity: int
 
 
 @dataclass(frozen=True)
 class PurityEstimate:
+    """p_min, its error bars, and the nonzero spectrum: lambda0 and the single-bit ``singles``."""
+
     p_min: float
     p_lower: Optional[float]
     p_upper: Optional[float]
     lambda0: float
-    spectrum_summary: SpectrumSummary
+    singles: tuple
     warnings: tuple = ()
 
 
@@ -102,14 +87,13 @@ class KktCertificate:
     nu[k] (k >= 1) at the index with only bit k-1 set.  Of the 2^n inequality
     multipliers only their minimum ``min_mu`` is kept: the rest of the KKT
     conditions hold by construction (derivation in :func:`kkt_certificate`).
+    ``valid`` is the verdict of :func:`closed_form_is_optimal`, the one
+    optimality test, so it never disagrees with the estimator's warning.
     """
 
     nu: np.ndarray
     min_mu: float
-
-    @property
-    def valid(self) -> bool:
-        return self.min_mu >= -KKT_TOL
+    valid: bool
 
 
 @dataclass(frozen=True)
@@ -137,7 +121,7 @@ def normalize_signs(record: MeasurementRecord) -> tuple[MeasurementRecord, str]:
     signs = "".join("1" if f else "0" for f in flipped)
     if not flipped.any():
         return record, signs
-    fixed = MeasurementRecord(record.n, np.abs(record.a), record.delta_a, record.shots)
+    fixed = MeasurementRecord(record.n, np.abs(record.a), record.delta_a)
     return fixed, signs
 
 
@@ -253,17 +237,12 @@ def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> 
     if p_lower is None:
         warnings.append("downward-shifted record is infeasible; no lower error bar")
 
-    summary = SpectrumSummary(
-        lambda0=lam0,
-        singles=tuple(singles.tolist()),
-        zero_multiplicity=(1 << record.n) - record.n - 1,
-    )
     return PurityEstimate(
         p_min=p_min,
         p_lower=p_lower,
         p_upper=p_upper,
         lambda0=lam0,
-        spectrum_summary=summary,
+        singles=tuple(singles.tolist()),
         warnings=tuple(warnings),
     )
 
@@ -283,10 +262,12 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
     by construction.  With S_m the sum of the m largest s_k (one stable sort
     and a prefix sum), min_mu = min(0, min_{m >= 2} 2 ((m - 1) lambda_0 - S_m)).
 
-    Raises CertificateInvalid when min_mu < -KKT_TOL, with the certificate and,
-    as the index, the bitmask of the m* generators with the largest s_k for the
-    minimizing m*.  The increments lambda_0 - s_(m+1) grow with m, so this
-    happens iff :func:`closed_form_is_optimal` is False.
+    The increments lambda_0 - s_(m+1) grow with m, so min_mu < 0 iff the
+    two-bit term is, which is the test of :func:`closed_form_is_optimal`;
+    ``valid`` is that function's verdict, one comparison with one tolerance.
+    When it is False, raises CertificateInvalid with the certificate and, as
+    the index, the bitmask of the m* generators with the largest s_k for the
+    minimizing m* (2 if rounding leaves min_mu at 0).
     """
     _feasible_spectrum(record)
     lam0, singles = _spectrum(record.a)  # unclipped: certify the candidate as constructed
@@ -295,14 +276,14 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
 
     s = singles.tolist()
     order = sorted(range(record.n), key=s.__getitem__, reverse=True)  # stable on ties
-    min_mu, m_star, top = 0.0, 0, 0.0
+    min_mu, m_star, top = 0.0, 2, 0.0
     for m, k in enumerate(order, 1):
         top += s[k]
         mu = 2.0 * ((m - 1) * lam0 - top)
         if m >= 2 and mu < min_mu:
             min_mu, m_star = mu, m
 
-    cert = KktCertificate(nu=nu, min_mu=min_mu)
+    cert = KktCertificate(nu=nu, min_mu=min_mu, valid=closed_form_is_optimal(record))
     if not cert.valid:
         index = sum(1 << k for k in order[:m_star])
         raise CertificateInvalid("mu >= 0", index, min_mu, cert)

@@ -214,11 +214,6 @@ def stabilizer_element(graph: GraphSpec, index: int) -> PauliString:
     return out
 
 
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff the symplectic inner product of the (x, z) masks is even."""
-    return p.commutes_with(q)
-
-
 def dense_matrix(p: PauliString) -> np.ndarray:
     """Kronecker-product realization of p as a 2^n x 2^n complex matrix.
 

@@ -45,6 +45,21 @@ def feasible_records(draw, max_n: int) -> MeasurementRecord:
     return _within_budget(np.array(deficits), 2.0 * draw(st.floats(0.0, 1.0)))
 
 
+@st.composite
+def boundary_records(draw, max_n: int, width: float) -> MeasurementRecord:
+    """Records at n = 2..max_n whose optimality margin sum(a) + a_(1) + a_(2) - n
+    lies within +-width of 0 (a_(1), a_(2) the two smallest).
+
+    With deficits d_k = 1 - a_k the margin is 2 - sum(d) - (two largest d), so
+    weights w in [0.01, 1] scaled by (2 - t) / (sum(w) + two largest w) put it
+    at t up to rounding, with every a_k in (0, 1] and lambda_0 > 0.
+    """
+    n = draw(st.integers(2, max_n))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    t = draw(st.floats(-width, width))
+    return MeasurementRecord(n, 1.0 - w * ((2.0 - t) / (w.sum() + np.sort(w)[-2:].sum())))
+
+
 def optimal_record(rng, n: int) -> MeasurementRecord:
     """Record inside the closed form's optimality domain.
 

@@ -21,8 +21,6 @@ from stabpurity import (
     CoeffVector,
     GraphSpec,
     MeasurementRecord,
-    NoiseParams,
-    ShotPlan,
     coefficients,
     dephased_coefficients,
     eigenvalues,
@@ -158,7 +156,7 @@ def test_criterion_6_dephasing_closed_form_vs_integrator():
         graph = GraphSpec.preset(f"path-{n}")
         for gt in (0.05, 0.1, 0.5):
             rho = master_equation_evolve(graph, gamma=1.0, t=gt)
-            closed = dephased_coefficients(graph, NoiseParams.from_gamma_t(gt))
+            closed = dephased_coefficients(graph, gt)
             worst = max(worst, float(np.abs(twirl(rho, graph).values - closed.values).max()))
     verdict(6, "decay law matches the master-equation integrator", worst <= 1e-8,
             f"max coefficient deviation {worst:.2e}")
@@ -201,13 +199,12 @@ def test_criterion_8_error_bar_sandwich():
     p_cov = math.erf(math.sqrt(3 / 2))
     k_lo, k_hi = binomial_acceptance_region(trials, p_cov, FALSE_ALARM)
     graph = GraphSpec.preset("path-3")
-    noise = NoiseParams.from_gamma_t(0.1)
-    truth = dephased_coefficients(graph, noise)
-    exact = MeasurementRecord(3, truth.generator_expectations())
+    a_true = dephased_coefficients(graph, 0.1).values[1 << np.arange(3)]
+    exact = MeasurementRecord(3, a_true)
     p_true = min_purity(exact).p_min
     hits = 0
     for seed in range(trials):
-        sampled = sample_measurements(truth, ShotPlan(10**4, seed=seed))
+        sampled = sample_measurements(a_true, 10**4, seed)
         est = min_purity(sampled)
         if est.p_lower is not None and est.p_lower <= p_true <= est.p_upper:
             hits += 1

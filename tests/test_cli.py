@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stabpurity import cli
 from stabpurity.cli import (
@@ -24,6 +30,39 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """Parse RFC 8259 JSON: Python's NaN and Infinity extensions are errors."""
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+
+
+#: Any JSON value a measurement field might hold, valid or not.
+ENTRY = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+    st.text(st.characters(codec="utf-8"), max_size=3),
+    st.none(),
+    st.just(float("nan")),
+    st.just(2**63),
+)
+
+
+@st.composite
+def measurement_documents(draw):
+    n = draw(st.integers(1, 12))
+    entries = st.lists(ENTRY, min_size=n, max_size=n)
+    near_one = st.lists(st.floats(0.8, 1.0), min_size=n, max_size=n)  # mostly feasible
+    in_range = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    doc = {"n": n, "a": draw(st.one_of(near_one, in_range, entries))}
+    if draw(st.booleans()):
+        doc["shots"] = draw(st.one_of(st.lists(st.integers(1, 2**64), min_size=n, max_size=n), entries))
+    if draw(st.booleans()):
+        values = st.one_of(ENTRY, st.lists(ENTRY, max_size=3))
+        doc["meta"] = draw(st.dictionaries(st.text(max_size=3), values, max_size=3))
+    return doc
 
 
 class TestEstimate:
@@ -80,6 +119,9 @@ class TestEstimate:
             ({"n": 2, "a": [0.5, 0.5], "graph": {"n": "2", "edges": []}}, "graph"),
             ({"n": 2, "a": [0.5, 0.5], "graph": {"n": 2, "edges": [[0, 1.9]]}}, "graph"),
             ({"n": 3, "a": [0.5] * 3, "graph": {"n": 3, "edges": [[True, 2]]}}, "graph"),
+            ({"n": 1, "a": [0.5], "meta": {"run": [1, {"x": float("nan")}]}}, "meta"),
+            ({"n": 1, "a": [0.5], "meta": {"x": float("-inf")}}, "meta"),
+            ({"n": 1, "a": [10**400]}, "a"),
         ],
     )
     def test_malformed_inputs_name_the_field(self, tmp_path, capsys, doc, fieldname):
@@ -99,10 +141,34 @@ class TestEstimate:
 
     def test_not_json_at_all(self, tmp_path, capsys):
         f = tmp_path / "junk.json"
-        f.write_text("not json", encoding="utf-8")
-        code, _, err = run(capsys, "estimate", "--input", str(f))
-        assert code == 1
-        assert "JSON" in err
+        # the last two are JSON, but Python refuses int literals over 4300
+        # digits and nesting deeper than its recursion limit
+        for text in ("not json", '{"n": 1, "a": [1' + "0" * 5000 + "]}", "[" * 10**5 + "]" * 10**5):
+            f.write_text(text, encoding="utf-8")
+            code, _, err = run(capsys, "estimate", "--input", str(f))
+            assert code == 1
+            assert "JSON" in err
+
+    def test_shots_beyond_int64(self, tmp_path, capsys):
+        f = write_json(tmp_path / "m.json", {"n": 2, "a": [0.9, 0.9], "shots": [2**63, 1]})
+        code, _, _ = run(capsys, "estimate", "--input", f, "--json")
+        assert code == 0
+
+    @given(measurement_documents())
+    @example({"n": 1, "a": [0.5], "shots": [2**63]})
+    @example({"n": 2, "a": [0.9, 0.9], "meta": {"x": float("nan")}})
+    @settings(max_examples=300)
+    def test_fuzzed_documents_exit_cleanly(self, doc):
+        # small n only: the n >= 14,285 report still fails to serialize
+        with tempfile.TemporaryDirectory() as tmp:
+            f = write_json(Path(tmp) / "m.json", doc)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["estimate", "--input", f, "--json"])
+        assert code in (0, 1, 2)
+        assert (out.getvalue() == "") == (code == 1), err.getvalue()
+        if code != 1:
+            strict_json(out.getvalue())
 
     def test_output_file_round_trips(self, tmp_path, capsys):
         f = write_json(tmp_path / "m.json", {"n": 2, "a": [0.93, 0.87], "delta_a": [0.01, 0.02]})
@@ -211,10 +277,12 @@ class TestSimulate:
         assert str(target) in err
 
     def test_bad_shots_value(self, tmp_path, capsys):
-        code, _, err = run(capsys, "simulate", "--graph", "path-2", "--gamma-t", "0.1",
-                           "--shots", "many", "--output", str(tmp_path / "x.json"))
-        assert code == 1
-        assert "shots" in err
+        for shots in ("many", "0", str(2**63), "100000000000000000000"):
+            code, _, err = run(capsys, "simulate", "--graph", "path-2", "--gamma-t", "0.1",
+                               "--shots", shots, "--output", str(tmp_path / "x.json"))
+            assert code == 1, shots
+            assert "--shots" in err
+        assert not (tmp_path / "x.json").exists()
 
     def test_negative_gamma_t(self, tmp_path, capsys):
         # NaN fails a plain "< 0" test and inf passes it, so both need their
@@ -333,6 +401,12 @@ class TestOracleCheck:
         assert code == 1
         assert out == ""
         assert "--seed" in err
+
+    def test_negative_trials(self, capsys):
+        code, out, err = run(capsys, "oracle-check", "--trials", "-5")
+        assert code == 1
+        assert out == ""
+        assert "--trials" in err
 
     def test_failure_output_into_missing_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "QP_TOLERANCE", -1.0)  # every trial breaches

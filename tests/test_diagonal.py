@@ -47,10 +47,6 @@ class TestVectors:
         with pytest.raises(ValueError):
             c.values[1] = 0.0
 
-    def test_generator_expectations(self):
-        c = CoeffVector(2, [1.0, 0.3, 0.7, 0.1])
-        np.testing.assert_array_equal(c.generator_expectations(), [0.3, 0.7])
-
 
 class TestTransform:
     def test_maximally_mixed(self):

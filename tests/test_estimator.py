@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from stabpurity import (
     DENSE_CAP,
@@ -27,7 +27,15 @@ from stabpurity import (
     purity_error_bars,
     qp_min_purity,
 )
-from support import dense_kkt, feasible_record, feasible_records, optimal_record, suboptimal_record
+from stabpurity.cli import build_report
+from support import (
+    boundary_records,
+    dense_kkt,
+    feasible_record,
+    feasible_records,
+    optimal_record,
+    suboptimal_record,
+)
 
 A01 = math.exp(-0.1)
 
@@ -52,10 +60,6 @@ class TestRecordValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MeasurementRecord(2, np.array([0.5]))
-
-    def test_shots_validation(self):
-        with pytest.raises(ValueError, match="shots"):
-            MeasurementRecord(1, np.array([0.5]), shots=np.array([0]))
 
 
 class TestNormalizeSigns:
@@ -109,7 +113,7 @@ class TestCoefficients:
     def test_single_generator_entries_reproduce_record(self):
         rec = record(0.8, 0.9, 0.75, 0.95)
         c = min_purity_coefficients(rec)
-        np.testing.assert_allclose(c.generator_expectations(), rec.a)
+        np.testing.assert_allclose(c.values[1 << np.arange(4)], rec.a)
 
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleRecord):
@@ -130,8 +134,7 @@ class TestMinPurity:
         est = min_purity(record(1.0, 1.0, 1.0))
         assert est.p_min == pytest.approx(1.0)
         assert est.lambda0 == pytest.approx(1.0)
-        assert est.spectrum_summary.singles == (0.0, 0.0, 0.0)
-        assert est.spectrum_summary.zero_multiplicity == 4
+        assert est.singles == (0.0, 0.0, 0.0)
         assert est.warnings == ()
 
     def test_matches_numeric_solver(self):
@@ -147,7 +150,7 @@ class TestMinPurity:
             lam = np.zeros(1 << n)
             lam[0] = est.lambda0
             for k in range(n):
-                lam[1 << k] = est.spectrum_summary.singles[k]
+                lam[1 << k] = est.singles[k]
             full = eigenvalues(min_purity_coefficients(rec)).values
             np.testing.assert_allclose(full, lam, atol=1e-12)
             assert abs(est.p_min - np.dot(full, full)) < 1e-12
@@ -318,6 +321,20 @@ class TestCertificate:
         assert (index is None) == cert.valid
         if index is not None:
             assert abs(mu[index] - cert.min_mu) <= 1e-12
+
+    @given(boundary_records(max_n=DENSE_CAP, width=1e-9))
+    @example(MeasurementRecord(2, [0.5, 0.4999999999]))  # margin -2e-10
+    @settings(max_examples=300)
+    def test_verdict_and_warning_agree_at_the_optimality_boundary(self, rec):
+        optimal = closed_form_is_optimal(rec)
+        try:
+            kkt_certificate(rec)
+            assert optimal
+        except CertificateInvalid:
+            assert not optimal
+        report = build_report(rec, None, {}, "")
+        warned = any("not optimal" in w for w in report["warnings"])
+        assert warned == (report["certificate"]["valid"] is False)
 
 
 class TestPairwiseCheck:

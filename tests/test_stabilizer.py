@@ -6,7 +6,6 @@ from stabpurity import (
     DenseCapExceeded,
     GraphSpec,
     PauliString,
-    commutes,
     dense_matrix,
     expectation_value,
     generators,
@@ -90,7 +89,7 @@ class TestGenerators:
         for n in range(1, 9):
             for _ in range(4):
                 gens = generators(random_graph(rng, n))
-                assert all(commutes(p, q) for p in gens for q in gens)
+                assert all(p.commutes_with(q) for p in gens for q in gens)
 
 
 class TestStabilizerElement:
@@ -169,13 +168,13 @@ class TestPauliAlgebra:
 
     def test_commutes_examples(self):
         k1, k2 = generators(PATH2)
-        assert commutes(k1, k2)
-        assert not commutes(PauliString(1, 1, 0), PauliString(1, 0, 1))
-        assert commutes(k1, PauliString.identity(2))
+        assert k1.commutes_with(k2)
+        assert not PauliString(1, 1, 0).commutes_with(PauliString(1, 0, 1))
+        assert k1.commutes_with(PauliString.identity(2))
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
-            commutes(PauliString(1, 1, 0), PauliString(2, 1, 0))
+            PauliString(1, 1, 0).commutes_with(PauliString(2, 1, 0))
 
 
 class TestDense:
