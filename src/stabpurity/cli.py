@@ -231,7 +231,7 @@ def cmd_estimate(args) -> int:
             "message": str(exc),
             "n": exc.n,
             "lambda0": exc.lambda0,
-            "sum_a": float(np.abs(record.a).sum()),
+            "sum_a": math.fsum(np.abs(record.a)),
         }
         if args.output:
             _write_json(error, args.output)

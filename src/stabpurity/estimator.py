@@ -131,13 +131,17 @@ def _require_normalized(record: MeasurementRecord) -> None:
 
 
 def _spectrum(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """lambda_0 and the single-bit eigenvalues (1 - a_k)/2 of the closed form."""
-    n = a.size
-    return (float(a.sum()) - n + 2.0) / 2.0, (1.0 - a) / 2.0
+    """lambda_0 and the single-bit eigenvalues (1 - a_k)/2 of the closed form.
+
+    lambda_0 = (2 - n + sum(a))/2 is one exact sum (Shewchuk's ``fsum``) of
+    exact terms, rounded once: correctly rounded even as it nears 0, and
+    independent of the generator order.
+    """
+    return math.fsum((2.0 - a.size, *a)) / 2.0, (1.0 - a) / 2.0
 
 
 def _purity(lam0: float, singles: np.ndarray) -> float:
-    return lam0 * lam0 + float(np.dot(singles, singles))
+    return math.fsum((lam0 * lam0, *(singles * singles)))
 
 
 def _feasible_spectrum(record: MeasurementRecord) -> tuple[float, np.ndarray]:
@@ -164,7 +168,7 @@ def closed_form_is_optimal(record: MeasurementRecord) -> bool:
     if record.n < 2:
         return True
     smallest_two = np.partition(record.a, 1)[:2]
-    return float(record.a.sum() + smallest_two.sum()) >= record.n - _EXACT_TOL
+    return math.fsum((*record.a, *smallest_two)) >= record.n - _EXACT_TOL
 
 
 def pairwise_sums_ok(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> bool:
@@ -272,7 +276,7 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
     _feasible_spectrum(record)
     lam0, singles = _spectrum(record.a)  # unclipped: certify the candidate as constructed
     nu = np.concatenate(([0.0], singles - lam0))
-    nu[0] = -2.0 * lam0 - nu[1:].sum()
+    nu[0] = -2.0 * lam0 - math.fsum(nu[1:])
 
     s = singles.tolist()
     order = sorted(range(record.n), key=s.__getitem__, reverse=True)  # stable on ties
@@ -293,11 +297,7 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
 def entropy_lower_bound(record: MeasurementRecord) -> float:
     """Entropy of the least-purity state: a lower bound on the maximal entropy."""
     lam0, singles = _feasible_spectrum(record)
-    out = 0.0
-    for s in (lam0, *singles.tolist()):
-        if s > 0.0:
-            out -= s * math.log(s)
-    return out
+    return math.fsum(-s * math.log(s) for s in (lam0, *singles.tolist()) if s > 0.0)
 
 
 def entropy_max(record: MeasurementRecord) -> float:
@@ -308,7 +308,7 @@ def entropy_max(record: MeasurementRecord) -> float:
     Always defined; no feasibility gate.
     """
     _require_normalized(record)
-    return float(sum(binary_entropy((1.0 + ak) / 2.0) for ak in record.a))
+    return math.fsum(binary_entropy((1.0 + ak) / 2.0) for ak in record.a.tolist())
 
 
 def estimate_entropy(record: MeasurementRecord) -> EntropyEstimate:

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stabpurity import (
     DENSE_CAP,
@@ -189,6 +191,62 @@ class TestMinPurity:
         up = min_purity(record(0.9, 0.05)).p_min
         assert up < down
         assert qp_min_purity(record(0.9, 0.0)).objective < down - 1e-6
+
+
+def _ulps(x: float, exact: Fraction) -> Fraction:
+    """Distance of x from the exact value, in units of the exact value's last place."""
+    return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def _rounding_records(rng, n: int, count: int) -> list:
+    """Feasible records whose exact lambda_0 runs from about 1 down to 0.
+
+    Deficits are rescaled into budgets 2 (1 - 10^-u) with u up to 16, so the
+    sum of a cancels against n - 2 in up to every digit; one record has
+    lambda_0 = 0 exactly.
+    """
+    out = [[0.0, 0.0, *[1.0] * (n - 2)] if n >= 2 else [0.0]]
+    while len(out) < count:
+        d = rng.uniform(0.0, 1.0, size=n)
+        d *= 2.0 * (1.0 - 10.0 ** -rng.uniform(0.1, 16.0)) / d.sum()
+        out.append((1.0 - np.minimum(d, 1.0)).tolist())
+    return out
+
+
+class TestCorrectRounding:
+    """lambda_0 and p_min against exact rational arithmetic on the record's floats."""
+
+    @pytest.mark.parametrize("n, count", [(3, 200), (10, 200), (50, 100), (1000, 20)])
+    def test_against_fractions(self, n, count):
+        rng = np.random.default_rng(50 + n)
+        checked = 0
+        for a in _rounding_records(rng, n, count):
+            exact_a = [Fraction(x) for x in a]
+            lam0 = (2 - n + sum(exact_a)) / 2
+            if lam0 < 0:  # rescaling rounded the budget just past 2
+                continue
+            p_min = lam0 * lam0 + sum(((1 - x) / 2) ** 2 for x in exact_a)
+            est = min_purity(MeasurementRecord(n, a))
+            assert _ulps(est.lambda0, lam0) <= Fraction(1, 2)  # correctly rounded
+            assert _ulps(est.p_min, p_min) <= 4
+            checked += 1
+        assert checked >= count * 3 // 4
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_permutation_leaves_every_bound_bit_identical(self, data):
+        rec = data.draw(feasible_records(max_n=12))
+        delta = data.draw(st.lists(st.floats(0.0, 0.1), min_size=rec.n, max_size=rec.n))
+        perm = data.draw(st.permutations(range(rec.n)))
+
+        def bounds(a, delta_a):
+            r = MeasurementRecord(rec.n, a, delta_a)
+            pur, ent = min_purity(r), estimate_entropy(r)
+            values = (pur.p_min, pur.p_lower, pur.p_upper, pur.lambda0, ent.s_lower, ent.s_max)
+            return tuple(None if v is None else v.hex() for v in values)
+
+        a = [float(x) for x in rec.a]
+        assert bounds(a, delta) == bounds([a[i] for i in perm], [delta[i] for i in perm])
 
 
 class TestErrorBars:
