@@ -30,8 +30,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import CertificateInvalid, InfeasibleRecord
 from .estimator import (
@@ -43,7 +41,6 @@ from .estimator import (
     min_purity,
     normalize_signs,
 )
-from .oracle import _MAX_GAMMA_T, ORACLE_CAP, master_equation_evolve, max_entropy_numeric, qp_min_purity
 from .simulator import (
     RNG_ALGORITHM,
     dephased_coefficients,
@@ -53,7 +50,9 @@ from .simulator import (
     sample_measurements,
 )
 from .stabilizer import DENSE_CAP, GraphSpec
-from .diagonal import twirl
+
+# numpy, the oracles and the 2^n helpers load only inside oracle-check and
+# sampled simulate, so that estimate starts without them
 
 QP_TOLERANCE = 1e-6
 ENTROPY_TOLERANCE = 1e-6
@@ -158,7 +157,7 @@ def load_measurement(path: str):
         json.dumps(meta, allow_nan=False)  # the report copies meta, so it must be strict JSON
     except ValueError as exc:
         raise MalformedInput("meta", "NaN and Infinity are not valid JSON numbers") from exc
-    record = MeasurementRecord(n, np.array(a), np.array(delta))
+    record = MeasurementRecord(n, a, delta)
     return record, graph, meta or {}, digest
 
 
@@ -183,8 +182,8 @@ def build_report(record, graph, meta, digest, with_certificate: bool = True) -> 
         "version": __version__,
         "input_digest": digest,
         "n": normalized.n,
-        "a": normalized.a.tolist(),
-        "delta_a": normalized.delta_a.tolist(),
+        "a": list(normalized.a),
+        "delta_a": list(normalized.delta_a),
         "signs_flipped": signs,
         "p_min": pur.p_min,
         "p_lower": pur.p_lower,
@@ -231,7 +230,7 @@ def cmd_estimate(args) -> int:
             "message": str(exc),
             "n": exc.n,
             "lambda0": exc.lambda0,
-            "sum_a": math.fsum(np.abs(record.a)),
+            "sum_a": math.fsum(map(abs, record.a)),
         }
         if args.output:
             _write_json(error, args.output)
@@ -282,14 +281,14 @@ def cmd_simulate(args) -> int:
         if not 1 <= shots < 2**63:  # numpy's binomial sampler takes an int64 count
             print("error: --shots must be between 1 and 2**63 - 1", file=sys.stderr)
             return 1
-        record = sample_measurements(np.array(a_true), shots, args.seed)
+        record = sample_measurements(a_true, shots, args.seed)
         meta.update({"shots": shots, "seed": args.seed, "rng": RNG_ALGORITHM})
 
     measurement = {
         "n": graph.n,
         "graph": graph.to_dict(),
-        "a": [float(x) for x in record.a],
-        "delta_a": [float(x) for x in record.delta_a],
+        "a": list(record.a),
+        "delta_a": list(record.delta_a),
         "meta": meta,
     }
     if args.shots != "exact":
@@ -379,16 +378,25 @@ def _optimality_floor(n: int) -> float:
 
 def _qp_gap(record: MeasurementRecord) -> float:
     """Closed-form p_min minus the numeric QP optimum (signed)."""
+    from .oracle import qp_min_purity
+
     return min_purity(record).p_min - qp_min_purity(record).objective
 
 
 def _entropy_gap(record: MeasurementRecord) -> float:
     """|closed-form S_max - numeric maximum entropy|."""
+    from .oracle import max_entropy_numeric
+
     return abs(entropy_max(record) - max_entropy_numeric(record)[1])
 
 
 def _integrator_dev(n: int, gamma_t: float) -> float:
     """Largest coefficient deviation of the integrated dephased path-n from the closed form."""
+    import numpy as np
+
+    from .diagonal import twirl
+    from .oracle import master_equation_evolve
+
     graph = GraphSpec.preset(f"path-{n}")
     rho = master_equation_evolve(graph, gamma=1.0, t=gamma_t)
     closed = dephased_coefficients(graph, gamma_t)
@@ -397,6 +405,8 @@ def _integrator_dev(n: int, gamma_t: float) -> float:
 
 def run_oracle_trials(trials: int, n_min: int, n_max: int, seed: int) -> dict:
     """Randomized closed-form vs numeric comparisons; returns the summary."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst = {"qp": 0.0, "entropy": 0.0, "integrator": 0.0}
     failures = {}
@@ -461,6 +471,8 @@ def replay_instance(doc) -> dict:
     with a known ``kind``, ``n`` in 1..ORACLE_CAP, and either ``a`` (n numbers
     in [0, 1]) or, for the integrator, a ``gamma_t`` in [0, _MAX_GAMMA_T].
     """
+    from .oracle import _MAX_GAMMA_T, ORACLE_CAP
+
     if not isinstance(doc, dict):
         raise MalformedInput("<file>", "top-level value must be an object")
     kind = doc.get("kind")
@@ -474,7 +486,7 @@ def replay_instance(doc) -> dict:
         gap = _integrator_dev(n, gamma_t)
         tolerance = INTEGRATOR_TOLERANCE
     else:
-        record = MeasurementRecord(n, np.array(_number_list(doc, "a", n, 0.0, 1.0)))
+        record = MeasurementRecord(n, _number_list(doc, "a", n, 0.0, 1.0))
         if kind == "qp":
             gap, tolerance = abs(_qp_gap(record)), QP_TOLERANCE
         else:
@@ -483,6 +495,8 @@ def replay_instance(doc) -> dict:
 
 
 def cmd_oracle_check(args) -> int:
+    from .oracle import ORACLE_CAP
+
     if args.input:
         doc, _ = _load_json(args.input)
         result = replay_instance(doc)

@@ -8,12 +8,16 @@ data is stabilizer-diagonal with coefficients
 
 whose spectrum consists of lambda_0 = (sum_k a_k - n + 2) / 2, the n values
 (1 - a_k) / 2 at the single-bit indices, and zeros elsewhere.  Everything the
-estimator reports is therefore O(n), and the optimality certificate
-O(n log n); only :func:`min_purity_coefficients` materializes a 2^n vector,
-under the dense cap.  That spectrum is derived in
-one place, :func:`_spectrum`; purity, error bars, entropy and certificate all
-read it from there (through :func:`_feasible_spectrum` where the gate below
-applies).
+estimator reports is therefore O(n) work on Python floats, and the optimality
+certificate O(n log n); numpy is imported only by
+:func:`min_purity_coefficients`, which materializes a 2^n vector under the
+dense cap.  That spectrum is derived in one place, :func:`_spectrum`; purity,
+error bars, entropy and certificate all read it from there (through
+:func:`_feasible_spectrum` where the gate below applies).
+
+Every sum is Shewchuk's exact ``math.fsum``, rounded once.  lambda_0 is one
+such sum of exact terms, so it is correctly rounded even as it nears 0, and no
+reported value depends on the order of the generators.
 
 The candidate is a valid state iff lambda_0 >= 0, which is the hard
 feasibility gate.  It is the true optimum iff every inequality multiplier is
@@ -21,48 +25,61 @@ nonnegative, which reduces to lambda_0 >= (largest) + (second largest) of the
 single-bit eigenvalues; records failing that condition still get the
 closed-form value (a reachable upper bound on the minimum purity) plus a
 warning, and the constructed certificate reports the violation.
+
+Each public function that needs a sign-normalized record checks that once and
+then works on the tuple ``record.a`` through the private helpers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from operator import add, mul, sub
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .diagonal import CoeffVector
 from .errors import CertificateInvalid, DenseCapExceeded, InfeasibleRecord
 from .stabilizer import DENSE_CAP, GraphSpec
+
+if TYPE_CHECKING:  # numpy loads only where the 2^n vector is built
+    from .diagonal import CoeffVector
 
 #: Slack on exact arithmetic comparisons (feasibility, optimality boundary).
 _EXACT_TOL = 1e-12
 
 
+def _floats(values, n: int, name: str) -> tuple:
+    """``values`` (a number, any sequence, or a numpy array) as a tuple of n floats."""
+    if hasattr(values, "tolist"):  # numpy arrays and scalars
+        values = values.tolist()
+    try:
+        out = tuple(map(float, values)) if hasattr(values, "__iter__") else (float(values),)
+    except TypeError as exc:
+        raise ValueError(f"{name} must be a sequence of {n} numbers") from exc
+    if len(out) != n:
+        raise ValueError(f"{name} must have length {n}, got {len(out)}")
+    return out
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Generator expectations a_k with their uncertainties delta_a_k."""
+    """Generator expectations a_k with their uncertainties delta_a_k.
+
+    Accepts any sequence (or numpy array) for both and stores tuples of floats.
+    """
 
     n: int
-    a: np.ndarray
-    delta_a: np.ndarray = None
+    a: tuple
+    delta_a: tuple = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one generator")
-        a = np.atleast_1d(np.array(self.a, dtype=float))
-        if a.shape != (self.n,):
-            raise ValueError(f"a must have length {self.n}, got shape {a.shape}")
-        if not np.all(np.abs(a) <= 1.0):  # NaN fails this comparison too
+        a = _floats(self.a, self.n, "a")
+        if not all(abs(x) <= 1.0 for x in a):  # NaN fails this comparison too
             raise ValueError("every a_k must lie in [-1, 1]")
-        delta = self.delta_a
-        delta = np.zeros(self.n) if delta is None else np.atleast_1d(np.array(delta, float))
-        if delta.shape != (self.n,):
-            raise ValueError(f"delta_a must have length {self.n}, got shape {delta.shape}")
-        if not np.all(delta >= 0.0):
+        delta = (0.0,) * self.n if self.delta_a is None else _floats(self.delta_a, self.n, "delta_a")
+        if not all(x >= 0.0 for x in delta):
             raise ValueError("uncertainties must be nonnegative")
-        a.setflags(write=False)
-        delta.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "delta_a", delta)
 
@@ -91,7 +108,7 @@ class KktCertificate:
     optimality test, so it never disagrees with the estimator's warning.
     """
 
-    nu: np.ndarray
+    nu: tuple
     min_mu: float
     valid: bool
 
@@ -117,40 +134,50 @@ def normalize_signs(record: MeasurementRecord) -> tuple[MeasurementRecord, str]:
     Returns the all-nonnegative record and a bit string whose character k is
     '1' iff generator k was flipped (K_k -> -K_k).
     """
-    flipped = record.a < 0.0
-    signs = "".join("1" if f else "0" for f in flipped)
-    if not flipped.any():
+    signs = "".join(["1" if x < 0.0 else "0" for x in record.a])
+    if "1" not in signs:
         return record, signs
-    fixed = MeasurementRecord(record.n, np.abs(record.a), record.delta_a)
-    return fixed, signs
+    return MeasurementRecord(record.n, tuple(map(abs, record.a)), record.delta_a), signs
 
 
-def _require_normalized(record: MeasurementRecord) -> None:
-    if np.any(record.a < 0.0):
+def _normalized(record: MeasurementRecord) -> tuple:
+    """The record's expectations, once checked to be sign-normalized."""
+    if min(record.a) < 0.0:
         raise ValueError("record has negative expectations; run normalize_signs first")
+    return record.a
 
 
-def _spectrum(a: np.ndarray) -> tuple[float, np.ndarray]:
+def _spectrum(a: tuple) -> tuple[float, tuple]:
     """lambda_0 and the single-bit eigenvalues (1 - a_k)/2 of the closed form.
 
-    lambda_0 = (2 - n + sum(a))/2 is one exact sum (Shewchuk's ``fsum``) of
-    exact terms, rounded once: correctly rounded even as it nears 0, and
-    independent of the generator order.
+    lambda_0 = (2 - n + sum(a))/2 is one exact sum of exact terms, rounded once.
     """
-    return math.fsum((2.0 - a.size, *a)) / 2.0, (1.0 - a) / 2.0
+    return math.fsum((2.0 - len(a), *a)) / 2.0, tuple([(1.0 - x) / 2.0 for x in a])
 
 
-def _purity(lam0: float, singles: np.ndarray) -> float:
-    return math.fsum((lam0 * lam0, *(singles * singles)))
+def _purity(lam0: float, singles: tuple) -> float:
+    return math.fsum((lam0 * lam0, *map(mul, singles, singles)))
 
 
-def _feasible_spectrum(record: MeasurementRecord) -> tuple[float, np.ndarray]:
-    """The record's spectrum with lambda_0 clipped at 0; raises InfeasibleRecord below the gate."""
-    _require_normalized(record)
-    lam0, singles = _spectrum(record.a)
+def _feasible_spectrum(a: tuple) -> tuple[float, tuple]:
+    """The spectrum with lambda_0 clipped at 0; raises InfeasibleRecord below the gate."""
+    lam0, singles = _spectrum(a)
     if lam0 < -_EXACT_TOL:
-        raise InfeasibleRecord(lam0, record.n)
+        raise InfeasibleRecord(lam0, len(a))
     return max(lam0, 0.0), singles
+
+
+def _two_smallest(a: tuple) -> tuple[float, float]:
+    """The two smallest entries of a (len(a) >= 2), by an O(n) scan."""
+    first = min(a)
+    i = a.index(first)
+    return first, min(a[:i] + a[i + 1 :])
+
+
+def _is_optimal(a: tuple) -> bool:
+    if len(a) < 2:
+        return True
+    return math.fsum((*a, *_two_smallest(a))) >= len(a) - _EXACT_TOL
 
 
 def closed_form_is_optimal(record: MeasurementRecord) -> bool:
@@ -164,29 +191,31 @@ def closed_form_is_optimal(record: MeasurementRecord) -> bool:
     with a_min1, a_min2 the two smallest expectations (for n = 1 there is no
     two-bit index and the condition is vacuous).
     """
-    _require_normalized(record)
-    if record.n < 2:
+    return _is_optimal(_normalized(record))
+
+
+def _pairs_ok(a: tuple, graph: Optional[GraphSpec]) -> bool:
+    if len(a) < 2:
         return True
-    smallest_two = np.partition(record.a, 1)[:2]
-    return math.fsum((*record.a, *smallest_two)) >= record.n - _EXACT_TOL
+    if graph is not None:
+        if graph.n != len(a):
+            raise ValueError("graph and record disagree on generator count")
+        return all(a[u] + a[v] >= 1.0 - _EXACT_TOL for u, v in graph.edges)
+    return sum(_two_smallest(a)) >= 1.0 - _EXACT_TOL
 
 
 def pairwise_sums_ok(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> bool:
     """Check a_j + a_k >= 1 over vertex pairs (all pairs, or graph edges if given)."""
-    _require_normalized(record)
-    if record.n < 2:
-        return True
-    if graph is not None:
-        if graph.n != record.n:
-            raise ValueError("graph and record disagree on generator count")
-        return all(record.a[u] + record.a[v] >= 1.0 - _EXACT_TOL for u, v in graph.edges)
-    smallest_two = np.partition(record.a, 1)[:2]
-    return float(smallest_two.sum()) >= 1.0 - _EXACT_TOL
+    return _pairs_ok(_normalized(record), graph)
 
 
 def min_purity_coefficients(record: MeasurementRecord) -> CoeffVector:
     """Full 2^n coefficient vector of the least-purity state (n <= DENSE_CAP only)."""
-    _feasible_spectrum(record)
+    import numpy as np
+
+    from .diagonal import CoeffVector
+
+    _feasible_spectrum(_normalized(record))
     if record.n > DENSE_CAP:
         raise DenseCapExceeded(record.n, DENSE_CAP, "coefficient vector")
     c = np.ones(1 << record.n)
@@ -194,6 +223,14 @@ def min_purity_coefficients(record: MeasurementRecord) -> CoeffVector:
     for k in range(record.n):
         c += ((idx >> k) & 1) * (record.a[k] - 1.0)
     return CoeffVector(record.n, c)
+
+
+def _error_bars(a: tuple, delta: tuple) -> tuple[Optional[float], float]:
+    upper = _purity(*_spectrum([x if x < 1.0 else 1.0 for x in map(add, a, delta)]))
+    lam0, singles = _spectrum([x if x > 0.0 else 0.0 for x in map(sub, a, delta)])
+    if lam0 < -_EXACT_TOL:
+        return None, upper
+    return _purity(lam0, singles), upper
 
 
 def purity_error_bars(record: MeasurementRecord) -> tuple[Optional[float], Optional[float]]:
@@ -209,12 +246,9 @@ def purity_error_bars(record: MeasurementRecord) -> tuple[Optional[float], Optio
     where w_k = dp_min/da_k = lambda_0 - (1 - a_k)/2.  With equal weights
     that is P(|Z| <= sqrt(n)): about 68, 84, 92 and 95% at n = 1, 2, 3, 4.
     """
-    _feasible_spectrum(record)
-    upper = _purity(*_spectrum(np.clip(record.a + record.delta_a, 0.0, 1.0)))
-    lam0, singles = _spectrum(np.clip(record.a - record.delta_a, 0.0, 1.0))
-    if lam0 < -_EXACT_TOL:
-        return None, upper
-    return _purity(lam0, singles), upper
+    a = _normalized(record)
+    _feasible_spectrum(a)
+    return _error_bars(a, record.delta_a)
 
 
 def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> PurityEstimate:
@@ -224,15 +258,16 @@ def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> 
     p_min is its sum of squares.  Raises InfeasibleRecord when lambda_0 < 0.
     A graph, if supplied, restricts the pairwise-sum warning to its edges.
     """
-    lam0, singles = _feasible_spectrum(record)
+    a = _normalized(record)
+    lam0, singles = _feasible_spectrum(a)
     p_min = _purity(lam0, singles)
-    p_lower, p_upper = purity_error_bars(record)
+    p_lower, p_upper = _error_bars(a, record.delta_a)
 
     warnings = []
-    if not pairwise_sums_ok(record, graph):
+    if not _pairs_ok(a, graph):
         scope = "some neighboring" if graph is not None else "some"
         warnings.append(f"{scope} expectation pairs sum below 1")
-    if not closed_form_is_optimal(record):
+    if not _is_optimal(a):
         warnings.append(
             "closed-form minimizer is not optimal for this record (multiplier "
             "condition violated): p_min is a reachable upper bound on the true "
@@ -246,7 +281,7 @@ def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> 
         p_lower=p_lower,
         p_upper=p_upper,
         lambda0=lam0,
-        singles=tuple(singles.tolist()),
+        singles=singles,
         warnings=tuple(warnings),
     )
 
@@ -273,12 +308,12 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
     the index, the bitmask of the m* generators with the largest s_k for the
     minimizing m* (2 if rounding leaves min_mu at 0).
     """
-    _feasible_spectrum(record)
-    lam0, singles = _spectrum(record.a)  # unclipped: certify the candidate as constructed
-    nu = np.concatenate(([0.0], singles - lam0))
-    nu[0] = -2.0 * lam0 - math.fsum(nu[1:])
+    a = _normalized(record)
+    _feasible_spectrum(a)
+    lam0, s = _spectrum(a)  # unclipped: certify the candidate as constructed
+    nu_singles = [sk - lam0 for sk in s]
+    nu = (-2.0 * lam0 - math.fsum(nu_singles), *nu_singles)
 
-    s = singles.tolist()
     order = sorted(range(record.n), key=s.__getitem__, reverse=True)  # stable on ties
     min_mu, m_star, top = 0.0, 2, 0.0
     for m, k in enumerate(order, 1):
@@ -287,17 +322,24 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
         if m >= 2 and mu < min_mu:
             min_mu, m_star = mu, m
 
-    cert = KktCertificate(nu=nu, min_mu=min_mu, valid=closed_form_is_optimal(record))
+    cert = KktCertificate(nu=nu, min_mu=min_mu, valid=_is_optimal(a))
     if not cert.valid:
         index = sum(1 << k for k in order[:m_star])
         raise CertificateInvalid("mu >= 0", index, min_mu, cert)
     return cert
 
 
+def _entropy_lower(lam0: float, singles: tuple) -> float:
+    return math.fsum([-s * math.log(s) for s in (lam0, *singles) if s > 0.0])
+
+
 def entropy_lower_bound(record: MeasurementRecord) -> float:
     """Entropy of the least-purity state: a lower bound on the maximal entropy."""
-    lam0, singles = _feasible_spectrum(record)
-    return math.fsum(-s * math.log(s) for s in (lam0, *singles.tolist()) if s > 0.0)
+    return _entropy_lower(*_feasible_spectrum(_normalized(record)))
+
+
+def _entropy_max(a: tuple) -> float:
+    return math.fsum(map(binary_entropy, [(1.0 + ak) / 2.0 for ak in a]))
 
 
 def entropy_max(record: MeasurementRecord) -> float:
@@ -307,14 +349,14 @@ def entropy_max(record: MeasurementRecord) -> float:
     lambda_j = prod_k (1 + (-1)^{j_k} a_k)/2, so S_max = sum_k h((1+a_k)/2).
     Always defined; no feasibility gate.
     """
-    _require_normalized(record)
-    return math.fsum(binary_entropy((1.0 + ak) / 2.0) for ak in record.a.tolist())
+    return _entropy_max(_normalized(record))
 
 
 def estimate_entropy(record: MeasurementRecord) -> EntropyEstimate:
     """Both entropy bounds in one report; s_lower is None for infeasible records."""
-    s_max = entropy_max(record)
+    a = _normalized(record)
     try:
-        return EntropyEstimate(entropy_lower_bound(record), s_max)
+        s_lower = _entropy_lower(*_feasible_spectrum(a))
     except InfeasibleRecord:
-        return EntropyEstimate(None, s_max)
+        s_lower = None
+    return EntropyEstimate(s_lower, _entropy_max(a))

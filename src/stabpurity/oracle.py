@@ -119,8 +119,8 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     raise NotConverged(iterations, residual)
 
 
-def _require_unit_interval(a: np.ndarray) -> None:
-    if np.any(a < 0.0) or np.any(a > 1.0):
+def _require_unit_interval(a) -> None:
+    if not all(0.0 <= x <= 1.0 for x in a):
         raise ValueError("expectations must be sign-normalized into [0, 1]")
 
 

@@ -18,12 +18,13 @@ closed forms against the materialized 2^n spectrum in the tests.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .diagonal import CoeffVector
 from .estimator import MeasurementRecord, binary_entropy
 from .stabilizer import GraphSpec
+
+if TYPE_CHECKING:  # numpy loads only where a 2^n vector or a sample is made
+    from .diagonal import CoeffVector
 
 #: Identifier of the pseudo-random stream, recorded in serialized output.
 RNG_ALGORITHM = "numpy-pcg64"
@@ -31,6 +32,10 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 def dephased_coefficients(graph: GraphSpec, gamma_t: float) -> CoeffVector:
     """Coefficient vector exp(-gamma_t popcount(i)) of the dephased graph state."""
+    import numpy as np
+
+    from .diagonal import CoeffVector
+
     idx = np.arange(1 << graph.n)
     weights = np.bitwise_count(idx).astype(float)
     return CoeffVector(graph.n, np.exp(-gamma_t * weights))
@@ -38,7 +43,7 @@ def dephased_coefficients(graph: GraphSpec, gamma_t: float) -> CoeffVector:
 
 def exact_record(graph: GraphSpec, gamma_t: float) -> MeasurementRecord:
     """Infinite-statistics record: every generator expectation is e^{-gamma_t}."""
-    return MeasurementRecord(graph.n, np.full(graph.n, math.exp(-gamma_t)))
+    return MeasurementRecord(graph.n, [math.exp(-gamma_t)] * graph.n)
 
 
 def exact_purity_dephased(graph: GraphSpec, gamma_t: float) -> float:
@@ -59,6 +64,8 @@ def sample_measurements(a_true, shots: int, seed: int) -> MeasurementRecord:
     holds the sample means and plug-in standard errors
     sqrt((1 - ahat^2)/shots).  Identical arguments give identical records.
     """
+    import numpy as np
+
     if shots < 1:
         raise ValueError("need at least one shot per generator")
     a_true = np.atleast_1d(np.asarray(a_true, dtype=float))

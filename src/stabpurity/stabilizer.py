@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DenseCapExceeded
+
+if TYPE_CHECKING:  # numpy loads only where a dense helper runs
+    import numpy as np
 
 #: Largest n for which dense 2^n x 2^n matrices may be materialized.
 DENSE_CAP = 10
@@ -32,10 +34,10 @@ _PHASE_VALUES = (1, 1j, -1, -1j)
 _PHASE_LABELS = ("+", "+i", "-", "-i")
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "I": [[1, 0], [0, 1]],
+    "X": [[0, 1], [1, 0]],
+    "Y": [[0, -1j], [1j, 0]],
+    "Z": [[1, 0], [0, -1]],
 }
 
 
@@ -219,12 +221,14 @@ def dense_matrix(p: PauliString) -> np.ndarray:
 
     Hermitian whenever the phase is real.  Refuses n above ``DENSE_CAP``.
     """
+    import numpy as np
+
     if p.n > DENSE_CAP:
         raise DenseCapExceeded(p.n, DENSE_CAP)
     m = np.array([[1.0 + 0j]])
     for j in range(p.n):
         # qubit 0 must end up as the fastest-varying index bit
-        m = np.kron(_LETTER_MATRICES[p.letter(j)], m)
+        m = np.kron(np.array(_LETTER_MATRICES[p.letter(j)], dtype=complex), m)
     return p.phase * m
 
 
@@ -234,6 +238,8 @@ def expectation_value(rho: np.ndarray, p: PauliString) -> float:
     Column k of a Pauli letter string has its single entry in row k XOR x_mask
     with sign (-1)^{|z_mask & k|}.  Assumes Hermitian rho; returns the real part.
     """
+    import numpy as np
+
     dim = 1 << p.n
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix, got {rho.shape}")

@@ -105,7 +105,7 @@ def dense_kkt(record: MeasurementRecord, nu) -> tuple[np.ndarray, float, float]:
     (complementarity), with c the closed-form coefficient vector.
     Returns (mu, stationarity residual, complementarity residual).
     """
-    n, a = record.n, record.a
+    n, a = record.n, np.asarray(record.a)
     dim = 1 << n
     single_idx = 1 << np.arange(n)
     lam = np.zeros(dim)

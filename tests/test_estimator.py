@@ -62,6 +62,23 @@ class TestRecordValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MeasurementRecord(2, np.array([0.5]))
+        with pytest.raises(ValueError):
+            MeasurementRecord(2, [0.5, 0.5], [0.1])
+
+    def test_any_sequence_accepted_and_stored_as_tuples(self):
+        want = MeasurementRecord(3, (0.5, 1.0, -0.25), (0.0, 0.1, 0.0))
+        for a, delta in (
+            ([0.5, 1, -0.25], [0, 0.1, 0]),
+            (np.array([0.5, 1.0, -0.25]), np.array([0.0, 0.1, 0.0])),
+            (iter([0.5, 1.0, -0.25]), (x for x in (0.0, 0.1, 0.0))),
+        ):
+            rec = MeasurementRecord(3, a, delta)
+            assert rec == want
+            assert all(type(x) is float for x in (*rec.a, *rec.delta_a))
+        assert MeasurementRecord(1, np.float64(0.5)).a == (0.5,)
+        assert MeasurementRecord(2, [0.5, 0.5]).delta_a == (0.0, 0.0)
+        with pytest.raises(ValueError):
+            MeasurementRecord(2, [[0.5, 0.5], [0.5, 0.5]])
 
 
 class TestNormalizeSigns:
@@ -305,6 +322,7 @@ class TestCertificate:
 
     def test_perfect_record(self):
         cert = kkt_certificate(record(1.0, 1.0, 1.0))
+        assert cert.nu == (1.0, -1.0, -1.0, -1.0)  # -2 lambda_0 - sum(s_k - lambda_0)
         assert cert.valid
         assert cert.min_mu >= -1e-9
 
@@ -451,7 +469,7 @@ class TestEntropy:
         rng = np.random.default_rng(42)
         for n in (2, 4):
             rec = optimal_record(rng, n)
-            if np.all(rec.a < 1.0):
+            if np.all(np.asarray(rec.a) < 1.0):
                 assert entropy_lower_bound(rec) < entropy_max(rec) - 1e-9
 
     def test_max_entropy_matches_numeric_solver(self):
