@@ -80,7 +80,8 @@ class TestLazyExports:
             from stabpurity import no_such_name  # noqa: F401
 
     def test_bare_import_loads_no_submodule_and_no_numpy(self):
-        proc = _python("-c", "import sys, stabpurity; print(sorted(m for m in sys.modules if 'numpy' in m or m.startswith('stabpurity.')))")
+        loaded = "sorted(m for m in sys.modules if 'numpy' in m or m.startswith('stabpurity.'))"
+        proc = _python("-c", f"import sys, stabpurity; print({loaded})")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -107,5 +108,6 @@ class TestNoNumpy:
 
     def test_sampled_simulate_still_uses_numpy(self, tmp_path):
         # the probe itself works: a numpy path is reported as one
-        argv = ["simulate", "--graph", "path-4", "--gamma-t", "0.1", "--shots", "100", "--output", str(tmp_path / "m.json")]
+        argv = ["simulate", "--graph", "path-4", "--gamma-t", "0.1", "--shots", "100"]
+        argv += ["--output", str(tmp_path / "m.json")]
         assert _probe(argv) == {"code": 0, "numpy": True}
