@@ -35,7 +35,6 @@ from .errors import CertificateInvalid, InfeasibleRecord
 from .estimator import (
     MeasurementRecord,
     closed_form_is_optimal,
-    entropy_max,
     estimate_entropy,
     kkt_certificate,
     min_purity,
@@ -387,7 +386,7 @@ def _entropy_gap(record: MeasurementRecord) -> float:
     """|closed-form S_max - numeric maximum entropy|."""
     from .oracle import max_entropy_numeric
 
-    return abs(entropy_max(record) - max_entropy_numeric(record)[1])
+    return abs(estimate_entropy(record).s_max - max_entropy_numeric(record)[1])
 
 
 def _integrator_dev(n: int, gamma_t: float) -> float:
@@ -499,7 +498,11 @@ def cmd_oracle_check(args) -> int:
 
     if args.input:
         doc, _ = _load_json(args.input)
-        result = replay_instance(doc)
+        try:
+            result = replay_instance(doc)
+        except InfeasibleRecord as exc:  # a qp instance with no closed-form p_min to compare
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         sys.stdout.write(_json_text(result))
         return 0 if result["ok"] else 3
     if not (1 <= args.n_min <= args.n_max <= ORACLE_CAP):

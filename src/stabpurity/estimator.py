@@ -15,6 +15,11 @@ dense cap.  That spectrum is derived in one place, :func:`_spectrum`; purity,
 error bars, entropy and certificate all read it from there (through
 :func:`_feasible_spectrum` where the gate below applies).
 
+Each quantity has one public entrance: p_min, its error bars and the
+warnings come from :func:`min_purity`, both entropy bounds from
+:func:`estimate_entropy`, and the optimality test from
+:func:`closed_form_is_optimal` (which :func:`kkt_certificate` reports).
+
 Every sum is Shewchuk's exact ``math.fsum``, rounded once.  lambda_0 is one
 such sum of exact terms, so it is correctly rounded even as it nears 0, and no
 reported value depends on the order of the generators.
@@ -27,7 +32,7 @@ closed-form value (a reachable upper bound on the minimum purity) plus a
 warning, and the constructed certificate reports the violation.
 
 Each public function that needs a sign-normalized record checks that once and
-then works on the tuple ``record.a`` through the private helpers.
+then works on the tuple ``record.a``.
 """
 
 from __future__ import annotations
@@ -194,21 +199,6 @@ def closed_form_is_optimal(record: MeasurementRecord) -> bool:
     return _is_optimal(_normalized(record))
 
 
-def _pairs_ok(a: tuple, graph: Optional[GraphSpec]) -> bool:
-    if len(a) < 2:
-        return True
-    if graph is not None:
-        if graph.n != len(a):
-            raise ValueError("graph and record disagree on generator count")
-        return all(a[u] + a[v] >= 1.0 - _EXACT_TOL for u, v in graph.edges)
-    return sum(_two_smallest(a)) >= 1.0 - _EXACT_TOL
-
-
-def pairwise_sums_ok(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> bool:
-    """Check a_j + a_k >= 1 over vertex pairs (all pairs, or graph edges if given)."""
-    return _pairs_ok(_normalized(record), graph)
-
-
 def min_purity_coefficients(record: MeasurementRecord) -> CoeffVector:
     """Full 2^n coefficient vector of the least-purity state (n <= DENSE_CAP only)."""
     import numpy as np
@@ -225,46 +215,42 @@ def min_purity_coefficients(record: MeasurementRecord) -> CoeffVector:
     return CoeffVector(record.n, c)
 
 
-def _error_bars(a: tuple, delta: tuple) -> tuple[Optional[float], float]:
-    upper = _purity(*_spectrum([x if x < 1.0 else 1.0 for x in map(add, a, delta)]))
-    lam0, singles = _spectrum([x if x > 0.0 else 0.0 for x in map(sub, a, delta)])
-    if lam0 < -_EXACT_TOL:
-        return None, upper
-    return _purity(lam0, singles), upper
-
-
-def purity_error_bars(record: MeasurementRecord) -> tuple[Optional[float], Optional[float]]:
-    """Closed-form purity at the shifted records a -+ delta_a, clipped to [0, 1].
-
-    The upward shift always stays feasible when the record is; the downward
-    shift may not be, in which case its bound is reported as None.
-
-    The bars shift every a_k by its delta_a_k together; they are not a
-    confidence interval at a fixed level.  Under independent Gaussian errors
-    with standard deviations delta_a_k they cover the true p_min with
-    probability P(|Z| <= sum_k w_k delta_k / sqrt(sum_k w_k^2 delta_k^2)),
-    where w_k = dp_min/da_k = lambda_0 - (1 - a_k)/2.  With equal weights
-    that is P(|Z| <= sqrt(n)): about 68, 84, 92 and 95% at n = 1, 2, 3, 4.
-    """
-    a = _normalized(record)
-    _feasible_spectrum(a)
-    return _error_bars(a, record.delta_a)
-
-
 def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> PurityEstimate:
     """Least purity compatible with the record, with error-bar bounds.
 
     O(n): the spectrum is (lambda_0, (1 - a_k)/2 ..., 0 x (2^n - n - 1)) and
     p_min is its sum of squares.  Raises InfeasibleRecord when lambda_0 < 0.
-    A graph, if supplied, restricts the pairwise-sum warning to its edges.
+
+    p_lower and p_upper are the closed-form purity at the shifted records
+    a -+ delta_a, each entry clipped to [0, 1].  The upward shift always stays feasible
+    when the record is; the downward shift may not be, in which case p_lower
+    is None and a warning says so.  The bars shift every a_k by its delta_a_k
+    together; they are not a confidence interval at a fixed level.  Under
+    independent Gaussian errors with standard deviations delta_a_k they cover
+    the true p_min with probability
+    P(|Z| <= sum_k w_k delta_k / sqrt(sum_k w_k^2 delta_k^2)), where
+    w_k = dp_min/da_k = lambda_0 - (1 - a_k)/2.  With equal weights that is
+    P(|Z| <= sqrt(n)): about 68, 84, 92 and 95% at n = 1, 2, 3, 4.
+
+    The pairwise-sum warning flags a_j + a_k < 1 over all pairs, or over the
+    edges of ``graph`` if one is supplied.
     """
     a = _normalized(record)
     lam0, singles = _feasible_spectrum(a)
     p_min = _purity(lam0, singles)
-    p_lower, p_upper = _error_bars(a, record.delta_a)
+    p_upper = _purity(*_spectrum([x if x < 1.0 else 1.0 for x in map(add, a, record.delta_a)]))
+    low0, low_singles = _spectrum([x if x > 0.0 else 0.0 for x in map(sub, a, record.delta_a)])
+    p_lower = None if low0 < -_EXACT_TOL else _purity(low0, low_singles)
+
+    if graph is None:
+        pairs_ok = len(a) < 2 or sum(_two_smallest(a)) >= 1.0 - _EXACT_TOL
+    elif graph.n != len(a):
+        raise ValueError("graph and record disagree on generator count")
+    else:
+        pairs_ok = all(a[u] + a[v] >= 1.0 - _EXACT_TOL for u, v in graph.edges)
 
     warnings = []
-    if not _pairs_ok(a, graph):
+    if not pairs_ok:
         scope = "some neighboring" if graph is not None else "some"
         warnings.append(f"{scope} expectation pairs sum below 1")
     if not _is_optimal(a):
@@ -329,34 +315,21 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
     return cert
 
 
-def _entropy_lower(lam0: float, singles: tuple) -> float:
-    return math.fsum([-s * math.log(s) for s in (lam0, *singles) if s > 0.0])
-
-
-def entropy_lower_bound(record: MeasurementRecord) -> float:
-    """Entropy of the least-purity state: a lower bound on the maximal entropy."""
-    return _entropy_lower(*_feasible_spectrum(_normalized(record)))
-
-
-def _entropy_max(a: tuple) -> float:
-    return math.fsum(map(binary_entropy, [(1.0 + ak) / 2.0 for ak in a]))
-
-
-def entropy_max(record: MeasurementRecord) -> float:
-    """Exact maximal entropy over all states reproducing the expectations.
-
-    By subadditivity the maximum is attained by the product spectrum
-    lambda_j = prod_k (1 + (-1)^{j_k} a_k)/2, so S_max = sum_k h((1+a_k)/2).
-    Always defined; no feasibility gate.
-    """
-    return _entropy_max(_normalized(record))
-
-
 def estimate_entropy(record: MeasurementRecord) -> EntropyEstimate:
-    """Both entropy bounds in one report; s_lower is None for infeasible records."""
+    """Both entropy bounds of the record.
+
+    s_lower is the entropy of the least-purity state, a lower bound on the
+    maximal entropy, and None for infeasible records.  s_max is the exact
+    maximal entropy over all states reproducing the expectations: by
+    subadditivity the maximum is attained by the product spectrum
+    lambda_j = prod_k (1 + (-1)^{j_k} a_k)/2, so S_max = sum_k h((1+a_k)/2).
+    It has no feasibility gate.
+    """
     a = _normalized(record)
     try:
-        s_lower = _entropy_lower(*_feasible_spectrum(a))
+        lam0, singles = _feasible_spectrum(a)
     except InfeasibleRecord:
         s_lower = None
-    return EntropyEstimate(s_lower, _entropy_max(a))
+    else:
+        s_lower = math.fsum([-s * math.log(s) for s in (lam0, *singles) if s > 0.0])
+    return EntropyEstimate(s_lower, math.fsum(map(binary_entropy, [(1.0 + ak) / 2.0 for ak in a])))

@@ -71,7 +71,6 @@ class QpSolution:
     objective: float
     iterations: int
     kkt_residual: float
-    converged: bool
 
 
 def _sign_matrix(n: int) -> np.ndarray:
@@ -115,7 +114,7 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
         if residual <= _TOL:
             # exact unit mass; shifts the other constraints by O(residual) only
             x /= x.sum()
-            return QpSolution(x, float(np.dot(x, x)), iterations, residual, True)
+            return QpSolution(x, float(np.dot(x, x)), iterations, residual)
     raise NotConverged(iterations, residual)
 
 

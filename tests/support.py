@@ -3,13 +3,9 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from stabpurity import (
-    GraphSpec,
-    MeasurementRecord,
-    closed_form_is_optimal,
-    min_purity_coefficients,
-    walsh_hadamard_inplace,
-)
+from stabpurity.diagonal import walsh_hadamard_inplace
+from stabpurity.estimator import MeasurementRecord, closed_form_is_optimal, min_purity_coefficients
+from stabpurity.stabilizer import GraphSpec
 
 
 def random_graph(rng, n: int) -> GraphSpec:

@@ -17,25 +17,12 @@ import time
 
 import numpy as np
 
-from stabpurity import (
-    CoeffVector,
-    GraphSpec,
-    MeasurementRecord,
-    coefficients,
-    dephased_coefficients,
-    eigenvalues,
-    entropy_lower_bound,
-    entropy_max,
-    kkt_certificate,
-    master_equation_evolve,
-    max_entropy_numeric,
-    min_purity,
-    purity,
-    qp_min_purity,
-    sample_measurements,
-    twirl,
-)
 from stabpurity.cli import reference_table_rows
+from stabpurity.diagonal import CoeffVector, coefficients, eigenvalues, purity, twirl
+from stabpurity.estimator import MeasurementRecord, estimate_entropy, kkt_certificate, min_purity
+from stabpurity.oracle import master_equation_evolve, max_entropy_numeric, qp_min_purity
+from stabpurity.simulator import dephased_coefficients, sample_measurements
+from stabpurity.stabilizer import GraphSpec
 from support import dense_kkt, feasible_record, optimal_record
 
 QP_SEED = 1009  # shared by criteria 3 and 4: same records for both
@@ -145,7 +132,7 @@ def test_criterion_5_entropy_oracle_equivalence():
         n = 1 + trial % 4
         record = feasible_record(rng, n)
         _, s_numeric = max_entropy_numeric(record)
-        worst = max(worst, abs(entropy_max(record) - s_numeric))
+        worst = max(worst, abs(estimate_entropy(record).s_max - s_numeric))
     verdict(5, "closed-form S_max equals numeric maximum entropy", worst <= 1e-6,
             f"max gap {worst:.2e}")
 
@@ -224,7 +211,8 @@ def test_criterion_9_bound_ordering():
     for trial in range(1000):
         n = 1 + trial % 6
         record = feasible_record(rng, n)
-        if entropy_lower_bound(record) > entropy_max(record) + 1e-12:
+        ent = estimate_entropy(record)
+        if ent.s_lower > ent.s_max + 1e-12:
             violations += 1
     verdict(9, "entropy lower bound never exceeds the exact maximum", violations == 0,
             f"{violations} violations in 1000 records")

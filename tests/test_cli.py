@@ -386,6 +386,16 @@ class TestOracleCheck:
         assert out == ""
         assert f"'{fieldname}'" in err
 
+    def test_replay_infeasible_record(self, tmp_path, capsys):
+        # sum(a) = 0.3 < n - 2: no closed-form p_min to compare the QP with
+        f = write_json(tmp_path / "inst.json", {"kind": "qp", "n": 3, "a": [0.1, 0.1, 0.1]})
+        code, out, err = run(capsys, "oracle-check", "--input", f)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # S_max has no feasibility gate, so the entropy replay still answers
+        assert replay_instance({"kind": "entropy", "n": 3, "a": [0.1, 0.1, 0.1]})["ok"]
+
     def test_replay_helper_kinds(self):
         assert replay_instance({"kind": "entropy", "n": 2, "a": [0.9, 0.8]})["ok"]
         with pytest.raises(Exception, match="kind"):

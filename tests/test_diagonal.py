@@ -1,26 +1,21 @@
 import numpy as np
 import pytest
 
-from stabpurity import (
-    DENSE_CAP,
+from stabpurity.diagonal import (
     CoeffVector,
-    DenseCapExceeded,
-    GraphSpec,
-    NonPhysicalSpectrum,
-    NonUnitTrace,
     Spectrum,
     assemble_dense,
     coefficients,
     eigenvalues,
     entropy,
-    expectation_value,
-    generators,
     purity,
     twirl,
     twirl_average,
     walsh_hadamard_inplace,
 )
+from stabpurity.errors import DenseCapExceeded, NonPhysicalSpectrum, NonUnitTrace
 from stabpurity.oracle import graph_state_vector, master_equation_evolve
+from stabpurity.stabilizer import DENSE_CAP, GraphSpec, expectation_value, generators
 from support import random_density_matrix, random_graph, random_physical_coeffs
 
 PATH2 = GraphSpec.preset("path-2")

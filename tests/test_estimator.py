@@ -6,30 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabpurity import (
-    DENSE_CAP,
-    CertificateInvalid,
-    DenseCapExceeded,
-    GraphSpec,
-    InfeasibleRecord,
+from stabpurity.cli import build_report
+from stabpurity.diagonal import eigenvalues, purity
+from stabpurity.errors import CertificateInvalid, DenseCapExceeded, InfeasibleRecord
+from stabpurity.estimator import (
     MeasurementRecord,
     binary_entropy,
     closed_form_is_optimal,
-    eigenvalues,
-    entropy_lower_bound,
-    entropy_max,
     estimate_entropy,
     kkt_certificate,
-    max_entropy_numeric,
     min_purity,
     min_purity_coefficients,
     normalize_signs,
-    pairwise_sums_ok,
-    purity,
-    purity_error_bars,
-    qp_min_purity,
 )
-from stabpurity.cli import build_report
+from stabpurity.oracle import max_entropy_numeric, qp_min_purity
+from stabpurity.stabilizer import DENSE_CAP, GraphSpec
 from support import (
     boundary_records,
     dense_kkt,
@@ -268,34 +259,29 @@ class TestCorrectRounding:
 
 class TestErrorBars:
     def test_reference_shift(self):
-        lo, hi = purity_error_bars(record(0.9, 0.9, delta=[0.01, 0.01]))
-        assert lo == pytest.approx(0.79815, abs=1e-12)
-        assert hi == pytest.approx(0.83215, abs=1e-12)
+        est = min_purity(record(0.9, 0.9, delta=[0.01, 0.01]))
+        assert est.p_lower == pytest.approx(0.79815, abs=1e-12)
+        assert est.p_upper == pytest.approx(0.83215, abs=1e-12)
 
     def test_zero_uncertainty_collapses(self):
-        rec = record(0.8, 0.7)
-        lo, hi = purity_error_bars(rec)
-        assert lo == hi == min_purity(rec).p_min
+        est = min_purity(record(0.8, 0.7))
+        assert est.p_lower == est.p_upper == est.p_min
 
     def test_upper_shift_clipped(self):
-        lo, hi = purity_error_bars(record(1.0, 1.0, delta=[0.05, 0.05]))
-        assert hi == pytest.approx(1.0)
-        assert lo < 1.0
+        est = min_purity(record(1.0, 1.0, delta=[0.05, 0.05]))
+        assert est.p_upper == pytest.approx(1.0)
+        assert est.p_lower < 1.0
 
     def test_lower_shift_can_be_infeasible(self):
-        rec = record(0.4, 0.4, 0.4, delta=[0.2, 0.2, 0.2])
-        lo, hi = purity_error_bars(rec)
-        assert lo is None
-        assert hi is not None
-        est = min_purity(rec)
+        est = min_purity(record(0.4, 0.4, 0.4, delta=[0.2, 0.2, 0.2]))
         assert est.p_lower is None
+        assert est.p_upper is not None
         assert any("no lower error bar" in w for w in est.warnings)
 
     def test_cross_checked_against_numeric_solver(self):
-        rec = record(0.9, 0.9, delta=[0.01, 0.01])
-        lo, hi = purity_error_bars(rec)
-        assert abs(qp_min_purity(record(0.89, 0.89)).objective - lo) < 1e-6
-        assert abs(qp_min_purity(record(0.91, 0.91)).objective - hi) < 1e-6
+        est = min_purity(record(0.9, 0.9, delta=[0.01, 0.01]))
+        assert abs(qp_min_purity(record(0.89, 0.89)).objective - est.p_lower) < 1e-6
+        assert abs(qp_min_purity(record(0.91, 0.91)).objective - est.p_upper) < 1e-6
 
 
 class TestCertificate:
@@ -413,16 +399,20 @@ class TestCertificate:
         assert warned == (report["certificate"]["valid"] is False)
 
 
+def pairwise_warned(rec, graph=None) -> bool:
+    return any("sum below 1" in w for w in min_purity(rec, graph).warnings)
+
+
 class TestPairwiseCheck:
     def test_all_pairs_when_no_graph(self):
-        assert pairwise_sums_ok(record(0.6, 0.6))
-        assert not pairwise_sums_ok(record(0.6, 0.3))
+        assert not pairwise_warned(record(0.6, 0.6))
+        assert pairwise_warned(record(0.6, 0.3))
 
     def test_graph_restricts_to_edges(self):
         rec = record(0.9, 0.3, 0.9)
         path = GraphSpec.from_edges(3, [(0, 1), (1, 2)])
-        assert pairwise_sums_ok(rec, path)  # 0.9 + 0.3 >= 1 on both edges
-        assert not pairwise_sums_ok(record(0.6, 0.3, 0.9), path)
+        assert not pairwise_warned(rec, path)  # 0.9 + 0.3 >= 1 on both edges
+        assert pairwise_warned(record(0.6, 0.3, 0.9), path)
 
     def test_warning_issued(self):
         est = min_purity(record(0.9, 0.45, 0.45))  # 0.45 + 0.45 < 1, still feasible
@@ -431,46 +421,48 @@ class TestPairwiseCheck:
 
 class TestEntropy:
     def test_lower_bound_reference_values(self):
-        assert round(entropy_lower_bound(record(A01, A01)), 4) == 0.3803
-        assert round(entropy_lower_bound(record(*[A01] * 4)), 4) == 0.7505
+        assert round(estimate_entropy(record(A01, A01)).s_lower, 4) == 0.3803
+        assert round(estimate_entropy(record(*[A01] * 4)).s_lower, 4) == 0.7505
 
     def test_lower_bound_pure(self):
-        assert entropy_lower_bound(record(1.0, 1.0)) == 0.0
+        assert estimate_entropy(record(1.0, 1.0)).s_lower == 0.0
 
     def test_lower_bound_infeasible(self):
-        with pytest.raises(InfeasibleRecord):
-            entropy_lower_bound(record(0.2, 0.2, 0.2))
+        assert estimate_entropy(record(0.2, 0.2, 0.2)).s_lower is None
 
     def test_max_entropy_limits(self):
-        assert entropy_max(record(0.0, 0.0, 0.0)) == pytest.approx(3 * math.log(2))
-        assert entropy_max(record(1.0, 1.0)) == 0.0
+        assert estimate_entropy(record(0.0, 0.0, 0.0)).s_max == pytest.approx(3 * math.log(2))
+        assert estimate_entropy(record(1.0, 1.0)).s_max == 0.0
 
     def test_max_entropy_reference_value(self):
         # equals the exact entropy of the dephased state (product spectrum)
-        assert round(entropy_max(record(A01, A01)), 4) == 0.3827
+        assert round(estimate_entropy(record(A01, A01)).s_max, 4) == 0.3827
 
     def test_bound_ordering(self):
         rng = np.random.default_rng(40)
         for trial in range(300):
             n = 1 + trial % 6
             rec = feasible_record(rng, n)
-            assert entropy_lower_bound(rec) <= entropy_max(rec) + 1e-12
+            ent = estimate_entropy(rec)
+            assert ent.s_lower <= ent.s_max + 1e-12
 
     def test_equality_cases(self):
         # n = 1: the data pins the state, both bounds coincide
         rng = np.random.default_rng(41)
         for a in rng.uniform(0.0, 1.0, size=10):
-            rec = record(a)
-            assert entropy_lower_bound(rec) == pytest.approx(entropy_max(rec), abs=1e-12)
-            assert entropy_max(rec) == pytest.approx(binary_entropy((1 + a) / 2))
-        assert entropy_lower_bound(record(1.0, 1.0)) == entropy_max(record(1.0, 1.0)) == 0.0
+            ent = estimate_entropy(record(a))
+            assert ent.s_lower == pytest.approx(ent.s_max, abs=1e-12)
+            assert ent.s_max == pytest.approx(binary_entropy((1 + a) / 2))
+        ent = estimate_entropy(record(1.0, 1.0))
+        assert ent.s_lower == ent.s_max == 0.0
 
     def test_strict_inequality_for_imperfect_multiqubit_records(self):
         rng = np.random.default_rng(42)
         for n in (2, 4):
             rec = optimal_record(rng, n)
             if np.all(np.asarray(rec.a) < 1.0):
-                assert entropy_lower_bound(rec) < entropy_max(rec) - 1e-9
+                ent = estimate_entropy(rec)
+                assert ent.s_lower < ent.s_max - 1e-9
 
     def test_max_entropy_matches_numeric_solver(self):
         rng = np.random.default_rng(43)
@@ -478,11 +470,12 @@ class TestEntropy:
             n = 1 + trial % 4
             rec = feasible_record(rng, n)
             _, s_numeric = max_entropy_numeric(rec)
-            assert abs(entropy_max(rec) - s_numeric) < 1e-6
+            assert abs(estimate_entropy(rec).s_max - s_numeric) < 1e-6
 
     def test_estimate_entropy_feasible(self):
         est = estimate_entropy(record(A01, A01))
-        assert est.s_lower == pytest.approx(entropy_lower_bound(record(A01, A01)))
+        pur = min_purity(record(A01, A01))  # s_lower is the entropy of p_min's spectrum
+        assert est.s_lower == pytest.approx(-sum(x * math.log(x) for x in (pur.lambda0, *pur.singles)))
         assert 0.0 <= est.s_lower <= est.s_max <= 2 * math.log(2)
 
     def test_estimate_entropy_infeasible(self):
@@ -498,6 +491,7 @@ class TestSingleGenerator:
             rec = record(a)
             assert min_purity(rec).p_min == pytest.approx((1 + a * a) / 2, abs=1e-12)
             h = binary_entropy((1 + a) / 2)
-            assert entropy_lower_bound(rec) == pytest.approx(h, abs=1e-12)
-            assert entropy_max(rec) == pytest.approx(h, abs=1e-12)
+            ent = estimate_entropy(rec)
+            assert ent.s_lower == pytest.approx(h, abs=1e-12)
+            assert ent.s_max == pytest.approx(h, abs=1e-12)
             assert closed_form_is_optimal(rec)

@@ -1,6 +1,5 @@
-"""The package's import graph: lazy exports, and estimate and exact simulate without numpy."""
+"""The package's import graph: a bare package, and estimate and exact simulate without numpy."""
 
-import importlib
 import json
 import os
 import subprocess
@@ -13,36 +12,6 @@ import stabpurity
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 SRC = str(Path(stabpurity.__file__).resolve().parent.parent)
-
-#: What ``stabpurity`` exported when every submodule was imported eagerly.
-EXPORTS = {
-    "diagonal": [
-        "CoeffVector", "Spectrum", "assemble_dense", "coefficients", "eigenvalues", "entropy",
-        "purity", "twirl", "twirl_average", "walsh_hadamard_inplace",
-    ],
-    "errors": [
-        "CertificateInvalid", "DenseCapExceeded", "InfeasibleRecord", "NonPhysicalSpectrum",
-        "NonUnitTrace", "NotConverged", "StabPurityError",
-    ],
-    "estimator": [
-        "EntropyEstimate", "KktCertificate", "MeasurementRecord", "PurityEstimate", "binary_entropy",
-        "closed_form_is_optimal", "entropy_lower_bound", "entropy_max", "estimate_entropy",
-        "kkt_certificate", "min_purity", "min_purity_coefficients", "normalize_signs",
-        "pairwise_sums_ok", "purity_error_bars",
-    ],
-    "oracle": [
-        "ORACLE_CAP", "QpSolution", "graph_state_vector", "master_equation_evolve",
-        "max_entropy_numeric", "qp_min_purity",
-    ],
-    "simulator": [
-        "dephased_coefficients", "exact_entropy_dephased", "exact_purity_dephased", "exact_record",
-        "sample_measurements",
-    ],
-    "stabilizer": [
-        "DENSE_CAP", "GraphSpec", "PauliString", "dense_matrix", "expectation_value", "generators",
-        "stabilizer_element",
-    ],
-}
 
 #: Runs ``cli.main`` on the given arguments, then reports its exit code and
 #: whether numpy was imported, as the last line of stderr.
@@ -65,14 +34,6 @@ def _probe(argv) -> dict:
 
 
 class TestLazyExports:
-    def test_every_name_is_the_defining_modules_object(self):
-        assert sorted(stabpurity.__all__) == sorted(name for names in EXPORTS.values() for name in names)
-        for module, names in EXPORTS.items():
-            home = importlib.import_module(f"stabpurity.{module}")
-            assert getattr(stabpurity, module) is home
-            for name in names:
-                assert getattr(stabpurity, name) is getattr(home, name), name
-
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             stabpurity.no_such_name
@@ -111,3 +72,14 @@ class TestNoNumpy:
         argv = ["simulate", "--graph", "path-4", "--gamma-t", "0.1", "--shots", "100"]
         argv += ["--output", str(tmp_path / "m.json")]
         assert _probe(argv) == {"code": 0, "numpy": True}
+
+
+def test_readme_library_example_runs():
+    """The README's library example imports and calls only names that exist."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    ns = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    assert ns["check"].objective == pytest.approx(ns["est"].p_min, abs=1e-6)
+    assert 0.0 <= ns["ent"].s_lower <= ns["ent"].s_max

@@ -3,23 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from stabpurity import (
-    GraphSpec,
-    MeasurementRecord,
+from stabpurity.diagonal import eigenvalues, entropy, purity, twirl
+from stabpurity.estimator import MeasurementRecord, estimate_entropy, min_purity
+from stabpurity.oracle import master_equation_evolve
+from stabpurity.simulator import (
     dephased_coefficients,
-    eigenvalues,
-    entropy,
-    entropy_lower_bound,
-    entropy_max,
     exact_entropy_dephased,
     exact_purity_dephased,
     exact_record,
-    master_equation_evolve,
-    min_purity,
-    purity,
     sample_measurements,
-    twirl,
 )
+from stabpurity.stabilizer import GraphSpec
 
 PATH2 = GraphSpec.preset("path-2")
 
@@ -89,7 +83,7 @@ class TestExactValues:
                     product = np.kron([(1 + decay) / 2, (1 - decay) / 2], product)
                 np.testing.assert_allclose(lam, product, atol=1e-12)
                 rec = exact_record(g, gamma_t)
-                assert abs(exact_entropy_dephased(g, gamma_t) - entropy_max(rec)) < 1e-12
+                assert abs(exact_entropy_dephased(g, gamma_t) - estimate_entropy(rec).s_max) < 1e-12
                 assert abs(entropy(eigenvalues(dephased_coefficients(g, gamma_t)))
                            - exact_entropy_dephased(g, gamma_t)) < 1e-12
 
@@ -99,7 +93,7 @@ class TestExactValues:
             for gt in np.linspace(0.0, 0.5, 6):
                 rec = exact_record(g, gt)
                 assert min_purity(rec).p_min <= exact_purity_dephased(g, gt) + 1e-12
-                assert entropy_lower_bound(rec) <= exact_entropy_dephased(g, gt) + 1e-12
+                assert estimate_entropy(rec).s_lower <= exact_entropy_dephased(g, gt) + 1e-12
 
 
 class TestSampling:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stabpurity import (
+from stabpurity.errors import DenseCapExceeded
+from stabpurity.stabilizer import (
     DENSE_CAP,
-    DenseCapExceeded,
     GraphSpec,
     PauliString,
     dense_matrix,
