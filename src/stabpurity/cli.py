@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: it parses arguments and input files and prints results only.
+
+The estimator, simulator and oracle modules compute everything it prints.
 
 Commands:
     estimate          bounds from a measurement JSON file
@@ -34,7 +36,6 @@ from . import __version__
 from .errors import CertificateInvalid, InfeasibleRecord
 from .estimator import (
     MeasurementRecord,
-    closed_form_is_optimal,
     estimate_entropy,
     kkt_certificate,
     min_purity,
@@ -42,28 +43,13 @@ from .estimator import (
 )
 from .simulator import (
     RNG_ALGORITHM,
-    dephased_coefficients,
     exact_entropy_dephased,
     exact_purity_dephased,
     exact_record,
+    reference_table,
     sample_measurements,
 )
 from .stabilizer import DENSE_CAP, GraphSpec
-
-# numpy, the oracles and the 2^n helpers load only inside oracle-check and
-# sampled simulate, so that estimate starts without them
-
-QP_TOLERANCE = 1e-6
-ENTROPY_TOLERANCE = 1e-6
-INTEGRATOR_TOLERANCE = 1e-8
-
-#: Reference values for the dephased-path summary at gamma*t = 0.1, keyed by n:
-#: (exact, estimated, relative deviation), all rounded to 4 decimals.  The
-#: deviation column is (exact - estimated)/exact evaluated on the rounded
-#: values, which is the convention the reference table uses.
-PURITY_REFERENCE = {2: (0.8269, 0.8233, 0.0044), 3: (0.7520, 0.7417, 0.0137), 4: (0.6838, 0.6646, 0.0281)}
-ENTROPY_REFERENCE = {2: (0.3827, 0.3803, 0.0063), 3: (0.5740, 0.5667, 0.0127), 4: (0.7653, 0.7505, 0.0193)}
-TABLES_GAMMA_T = 0.1
 
 
 class MalformedInput(Exception):
@@ -313,51 +299,14 @@ def _resolve_graph(spec: str) -> GraphSpec:
     return GraphSpec.preset(spec)
 
 
-def reference_table_rows() -> list[dict]:
-    """Exact and estimated purity/entropy for dephased path graphs, n = 2..4.
-
-    Full-precision values plus the 4-decimal roundings; the deviation column
-    is computed from the rounded values (the convention of the reference
-    numbers this command is checked against).
-    """
-    rows = []
-    for n in (2, 3, 4):
-        graph = GraphSpec.preset(f"path-{n}")
-        record = exact_record(graph, TABLES_GAMMA_T)
-        exact_p = exact_purity_dephased(graph, TABLES_GAMMA_T)
-        est_p = min_purity(record).p_min
-        exact_s = exact_entropy_dephased(graph, TABLES_GAMMA_T)
-        est_s = estimate_entropy(record).s_lower
-        row = {"n": n, "gamma_t": TABLES_GAMMA_T}
-        for name, exact, est, ref in (
-            ("purity", exact_p, est_p, PURITY_REFERENCE[n]),
-            ("entropy", exact_s, est_s, ENTROPY_REFERENCE[n]),
-        ):
-            rounded_exact, rounded_est = round(exact, 4), round(est, 4)
-            deviation = round((rounded_exact - rounded_est) / rounded_exact, 4)
-            row[name] = {
-                "exact": exact,
-                "estimated": est,
-                "exact_4dp": rounded_exact,
-                "estimated_4dp": rounded_est,
-                "deviation_4dp": deviation,
-                "reference": list(ref),
-                "matches": (rounded_exact, rounded_est, deviation) == ref,
-            }
-        rows.append(row)
-    return rows
-
-
 def cmd_reproduce_tables(args) -> int:
-    rows = reference_table_rows()
-    all_match = all(r["purity"]["matches"] and r["entropy"]["matches"] for r in rows)
+    table = reference_table()
     if args.json:
-        sys.stdout.write(_json_text({"gamma_t": TABLES_GAMMA_T, "rows": rows, "all_match": all_match}))
+        sys.stdout.write(_json_text(table))
     else:
-        print(f"dephased path graphs at gamma*t = {TABLES_GAMMA_T}")
-        header = f"{'n':>2} {'exact P':>9} {'est P':>9} {'dev':>7} {'exact S':>9} {'est S':>9} {'dev':>7} match"
-        print(header)
-        for r in rows:
+        print(f"dephased path graphs at gamma*t = {table['gamma_t']}")
+        print(f"{'n':>2} {'exact P':>9} {'est P':>9} {'dev':>7} {'exact S':>9} {'est S':>9} {'dev':>7} match")
+        for r in table["rows"]:
             p, s = r["purity"], r["entropy"]
             ok = "yes" if (p["matches"] and s["matches"]) else "NO"
             print(
@@ -366,101 +315,15 @@ def cmd_reproduce_tables(args) -> int:
                 f"{s['estimated_4dp']:>9.4f} {s['deviation_4dp']:>7.4f} {ok}"
             )
     if args.output:
-        _write_json({"gamma_t": TABLES_GAMMA_T, "rows": rows, "all_match": all_match}, args.output)
-    return 0 if all_match else 3
+        _write_json(table, args.output)
+    return 0 if table["all_match"] else 3
 
 
-def _optimality_floor(n: int) -> float:
-    # closed form is the true optimum when every a_k >= n/(n+2) (see estimator)
-    return max(0.7, n / (n + 2))
+def _oracle():
+    """The oracle module, loaded on first use: it brings numpy, which estimate never needs."""
+    from . import oracle
 
-
-def _qp_gap(record: MeasurementRecord) -> float:
-    """Closed-form p_min minus the numeric QP optimum (signed)."""
-    from .oracle import qp_min_purity
-
-    return min_purity(record).p_min - qp_min_purity(record).objective
-
-
-def _entropy_gap(record: MeasurementRecord) -> float:
-    """|closed-form S_max - numeric maximum entropy|."""
-    from .oracle import max_entropy_numeric
-
-    return abs(estimate_entropy(record).s_max - max_entropy_numeric(record)[1])
-
-
-def _integrator_dev(n: int, gamma_t: float) -> float:
-    """Largest coefficient deviation of the integrated dephased path-n from the closed form."""
-    import numpy as np
-
-    from .diagonal import twirl
-    from .oracle import master_equation_evolve
-
-    graph = GraphSpec.preset(f"path-{n}")
-    rho = master_equation_evolve(graph, gamma=1.0, t=gamma_t)
-    closed = dephased_coefficients(graph, gamma_t)
-    return float(np.abs(twirl(rho, graph).values - closed.values).max())
-
-
-def run_oracle_trials(trials: int, n_min: int, n_max: int, seed: int) -> dict:
-    """Randomized closed-form vs numeric comparisons; returns the summary."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    worst = {"qp": 0.0, "entropy": 0.0, "integrator": 0.0}
-    failures = {}
-
-    def note(kind: str, gap: float, tolerance: float, **instance) -> None:
-        if gap > worst[kind]:
-            worst[kind] = gap
-            if gap > tolerance:
-                failures.setdefault(kind, {"kind": kind, **instance, "gap": gap})
-
-    band = {"count": 0, "max_closed_minus_qp": 0.0, "qp_above_closed": 0}
-    for trial in range(trials):
-        n = n_min + trial % (n_max - n_min + 1)
-        a = rng.uniform(_optimality_floor(n), 1.0, size=n)
-        record = MeasurementRecord(n, a)
-        note("qp", abs(_qp_gap(record)), QP_TOLERANCE, n=n, a=a.tolist())
-        note("entropy", _entropy_gap(record), ENTROPY_TOLERANCE, n=n, a=a.tolist())
-
-        # informational probe: feasible records outside the optimality domain
-        lo = rng.uniform(0.0, 0.45, size=n)
-        probe = 1.0 - lo * (2.0 / max(1.0, lo.sum()))  # keeps sum(a) >= n - 2
-        probe = np.clip(probe, 0.0, 1.0)
-        probe_record = MeasurementRecord(n, probe)
-        if not closed_form_is_optimal(probe_record):
-            band["count"] += 1
-            diff = _qp_gap(probe_record)
-            band["max_closed_minus_qp"] = max(band["max_closed_minus_qp"], diff)
-            if diff < -1e-9:
-                band["qp_above_closed"] += 1
-
-    integ_ns = [n for n in range(n_min, n_max + 1) if n <= 4]
-    gamma_ts = [0.05, 0.1, 0.5] if trials > 0 else []
-    for n in integ_ns:
-        for gt in gamma_ts:
-            note("integrator", _integrator_dev(n, gt), INTEGRATOR_TOLERANCE, n=n, gamma_t=gt)
-
-    summary = {
-        "trials": trials,
-        "n_min": n_min,
-        "n_max": n_max,
-        "seed": seed,
-        "qp": {"max_abs_gap": worst["qp"], "tolerance": QP_TOLERANCE, "ok": worst["qp"] <= QP_TOLERANCE},
-        "entropy": {"max_abs_gap": worst["entropy"], "tolerance": ENTROPY_TOLERANCE, "ok": worst["entropy"] <= ENTROPY_TOLERANCE},
-        "integrator": {
-            "max_abs_dev": worst["integrator"],
-            "tolerance": INTEGRATOR_TOLERANCE,
-            "ok": worst["integrator"] <= INTEGRATOR_TOLERANCE,
-            "path_sizes": integ_ns,
-            "gamma_t_values": gamma_ts,
-        },
-        "suboptimal_band": band,
-    }
-    summary["ok"] = summary["qp"]["ok"] and summary["entropy"]["ok"] and summary["integrator"]["ok"]
-    summary["failure"] = failures.get("qp") or failures.get("entropy") or failures.get("integrator")
-    return summary
+    return oracle
 
 
 def replay_instance(doc) -> dict:
@@ -468,34 +331,27 @@ def replay_instance(doc) -> dict:
 
     Raises MalformedInput naming the field unless the document is an object
     with a known ``kind``, ``n`` in 1..ORACLE_CAP, and either ``a`` (n numbers
-    in [0, 1]) or, for the integrator, a ``gamma_t`` in [0, _MAX_GAMMA_T].
+    in [0, 1]) or, for the integrator, a ``gamma_t`` in [0, MAX_GAMMA_T].
     """
-    from .oracle import _MAX_GAMMA_T, ORACLE_CAP
-
+    oracle = _oracle()
     if not isinstance(doc, dict):
         raise MalformedInput("<file>", "top-level value must be an object")
     kind = doc.get("kind")
-    if kind not in ("qp", "entropy", "integrator"):
+    if not isinstance(kind, str) or kind not in oracle.TOLERANCES:
         raise MalformedInput("kind", f"unknown instance kind {kind!r}")
-    n = _qubit_count(doc, ORACLE_CAP)
+    n = _qubit_count(doc, oracle.ORACLE_CAP)
     if kind == "integrator":
-        gamma_t = doc.get("gamma_t")
-        if not _is_number(gamma_t) or not 0 <= gamma_t <= _MAX_GAMMA_T:
-            raise MalformedInput("gamma_t", f"expected a number in [0, {_MAX_GAMMA_T}], got {gamma_t!r}")
-        gap = _integrator_dev(n, gamma_t)
-        tolerance = INTEGRATOR_TOLERANCE
+        x = doc.get("gamma_t")
+        if not _is_number(x) or not 0 <= x <= oracle.MAX_GAMMA_T:
+            raise MalformedInput("gamma_t", f"expected a number in [0, {oracle.MAX_GAMMA_T}], got {x!r}")
     else:
-        record = MeasurementRecord(n, _number_list(doc, "a", n, 0.0, 1.0))
-        if kind == "qp":
-            gap, tolerance = abs(_qp_gap(record)), QP_TOLERANCE
-        else:
-            gap, tolerance = _entropy_gap(record), ENTROPY_TOLERANCE
+        x = _number_list(doc, "a", n, 0.0, 1.0)
+    gap, tolerance = oracle.instance_gap(kind, n, x), oracle.TOLERANCES[kind]
     return {"kind": kind, "gap": gap, "tolerance": tolerance, "ok": gap <= tolerance}
 
 
 def cmd_oracle_check(args) -> int:
-    from .oracle import ORACLE_CAP
-
+    oracle = _oracle()
     if args.input:
         doc, _ = _load_json(args.input)
         try:
@@ -505,8 +361,8 @@ def cmd_oracle_check(args) -> int:
             return 2
         sys.stdout.write(_json_text(result))
         return 0 if result["ok"] else 3
-    if not (1 <= args.n_min <= args.n_max <= ORACLE_CAP):
-        print(f"error: need 1 <= --n-min <= --n-max <= {ORACLE_CAP}", file=sys.stderr)
+    if not (1 <= args.n_min <= args.n_max <= oracle.ORACLE_CAP):
+        print(f"error: need 1 <= --n-min <= --n-max <= {oracle.ORACLE_CAP}", file=sys.stderr)
         return 1
     if args.seed < 0:
         print("error: --seed must be nonnegative", file=sys.stderr)
@@ -514,15 +370,16 @@ def cmd_oracle_check(args) -> int:
     if args.trials < 0:
         print("error: --trials must be nonnegative", file=sys.stderr)
         return 1
-    summary = run_oracle_trials(args.trials, args.n_min, args.n_max, args.seed)
+    summary = oracle.run_oracle_trials(args.trials, args.n_min, args.n_max, args.seed)
+    tolerance = oracle.TOLERANCES
     failure = summary.pop("failure")
     if args.json:
         sys.stdout.write(_json_text(summary))
     else:
         print(f"trials = {summary['trials']}, n in [{args.n_min}, {args.n_max}], seed = {args.seed}")
-        print(f"qp         max |closed - numeric| = {summary['qp']['max_abs_gap']:.3e} (tol {QP_TOLERANCE:.0e})")
-        print(f"entropy    max |closed - numeric| = {summary['entropy']['max_abs_gap']:.3e} (tol {ENTROPY_TOLERANCE:.0e})")
-        print(f"integrator max coefficient dev    = {summary['integrator']['max_abs_dev']:.3e} (tol {INTEGRATOR_TOLERANCE:.0e})")
+        print(f"qp         max |closed - numeric| = {summary['qp']['max_abs_gap']:.3e} (tol {tolerance['qp']:.0e})")
+        print(f"entropy    max |closed - numeric| = {summary['entropy']['max_abs_gap']:.3e} (tol {tolerance['entropy']:.0e})")
+        print(f"integrator max coefficient dev    = {summary['integrator']['max_abs_dev']:.3e} (tol {tolerance['integrator']:.0e})")
         b = summary["suboptimal_band"]
         if b["count"]:
             print(

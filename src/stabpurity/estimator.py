@@ -140,7 +140,7 @@ def normalize_signs(record: MeasurementRecord) -> tuple[MeasurementRecord, str]:
     '1' iff generator k was flipped (K_k -> -K_k).
     """
     signs = "".join(["1" if x < 0.0 else "0" for x in record.a])
-    if "1" not in signs:
+    if "1" not in signs and 0.0 not in record.a:  # abs() also turns a -0.0 into 0.0
         return record, signs
     return MeasurementRecord(record.n, tuple(map(abs, record.a)), record.delta_a), signs
 

@@ -41,6 +41,13 @@ stationarity x + p + q = 0 holds by construction, so
     kkt_residual = ||B x - b||_inf
 
 is the whole KKT system violation.
+
+Cross-check.  ``instance_gap`` scores one instance of a check kind (``qp``,
+``entropy`` or ``integrator``) as the deviation of the closed form from its
+numeric counterpart, and ``TOLERANCES`` holds the one bound per kind that the
+randomized trials (``run_oracle_trials``), the replay of a failing instance
+and the printed summary all read.  The solvers above still share no formula
+with the estimator; only the scorer calls both and compares them.
 """
 
 from __future__ import annotations
@@ -50,8 +57,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagonal import twirl
 from .errors import DenseCapExceeded, NotConverged
-from .estimator import MeasurementRecord
+from .estimator import MeasurementRecord, closed_form_is_optimal, estimate_entropy, min_purity
+from .simulator import dephased_coefficients
 from .stabilizer import DENSE_CAP, GraphSpec
 
 #: Largest n the numeric solvers accept (2^n-dimensional iterates).
@@ -62,7 +71,9 @@ _CHECK_EVERY = 100
 _TOL = 1e-9
 _MAX_ITER = 10**6
 #: Largest gamma*t the master-equation integrator accepts; see master_equation_evolve.
-_MAX_GAMMA_T = 30.0
+MAX_GAMMA_T = 30.0
+#: Largest deviation of a closed form from its numeric check, per check kind.
+TOLERANCES = {"qp": 1e-6, "entropy": 1e-6, "integrator": 1e-8}
 
 
 @dataclass(frozen=True)
@@ -216,7 +227,7 @@ def master_equation_evolve(
     the real parts complex arithmetic would, bit for bit; the result is
     returned as a complex matrix.
 
-    gamma*t is capped at ``_MAX_GAMMA_T`` = 30, which bounds the default step
+    gamma*t is capped at ``MAX_GAMMA_T`` = 30, which bounds the default step
     count by 30,000.  Past gamma*t = ln(1e8) ~ 18.4 every off-diagonal
     coefficient exp(-gamma*t*w), w >= 1, is below the 1e-8 integrator
     tolerance, so longer runs add only time; the cap leaves room for
@@ -227,8 +238,8 @@ def master_equation_evolve(
     if gamma < 0.0 or t < 0.0:
         raise ValueError("gamma and t must be nonnegative")
     gt = gamma * t
-    if not gt <= _MAX_GAMMA_T:
-        raise ValueError(f"gamma*t = {gt} above the integrator's bound {_MAX_GAMMA_T}")
+    if not gt <= MAX_GAMMA_T:
+        raise ValueError(f"gamma*t = {gt} above the integrator's bound {MAX_GAMMA_T}")
     floor = max(1, math.ceil(1000.0 * gt))
     if steps is None:
         steps = max(100, floor)
@@ -242,3 +253,83 @@ def master_equation_evolve(
         for _ in range(steps):
             rho = _rk4_step(rho, rate, dt)
     return rho.astype(complex)
+
+
+def _qp_gap(record: MeasurementRecord) -> float:
+    """Closed-form p_min minus the numeric QP optimum (signed)."""
+    return min_purity(record).p_min - qp_min_purity(record).objective
+
+
+def instance_gap(kind: str, n: int, x) -> float:
+    """Deviation of one closed form from its numeric check; compare with ``TOLERANCES[kind]``.
+
+    ``x`` is the expectation list a (n numbers in [0, 1]) for ``"qp"`` and
+    ``"entropy"``, and gamma*t for ``"integrator"``.  The deviation is
+    |p_min - QP optimum|, |S_max - numeric maximum entropy|, or the largest
+    coefficient error of the integrated dephased path-n, respectively.
+    """
+    if kind == "integrator":
+        graph = GraphSpec.preset(f"path-{n}")
+        rho = master_equation_evolve(graph, gamma=1.0, t=x)
+        return float(np.abs(twirl(rho, graph).values - dephased_coefficients(graph, x).values).max())
+    record = MeasurementRecord(n, x)
+    if kind == "qp":
+        return abs(_qp_gap(record))
+    return abs(estimate_entropy(record).s_max - max_entropy_numeric(record)[1])
+
+
+def _optimality_floor(n: int) -> float:
+    # closed form is the true optimum when every a_k >= n/(n+2) (see estimator)
+    return max(0.7, n / (n + 2))
+
+
+def run_oracle_trials(trials: int, n_min: int, n_max: int, seed: int) -> dict:
+    """Randomized closed-form vs numeric comparisons; returns the summary.
+
+    ``summary["failure"]`` is the first breaching instance (a replayable document) or None.
+    """
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(TOLERANCES, 0.0)
+    failures = {}
+
+    def note(kind: str, n: int, x) -> None:
+        gap = instance_gap(kind, n, x)
+        if gap > worst[kind]:
+            worst[kind] = gap
+            if gap > TOLERANCES[kind]:
+                key = "gamma_t" if kind == "integrator" else "a"
+                failures.setdefault(kind, {"kind": kind, "n": n, key: x, "gap": gap})
+
+    band = {"count": 0, "max_closed_minus_qp": 0.0, "qp_above_closed": 0}
+    for trial in range(trials):
+        n = n_min + trial % (n_max - n_min + 1)
+        a = rng.uniform(_optimality_floor(n), 1.0, size=n).tolist()
+        note("qp", n, a)
+        note("entropy", n, a)
+
+        # informational probe: feasible records outside the optimality domain
+        lo = rng.uniform(0.0, 0.45, size=n)
+        probe = 1.0 - lo * (2.0 / max(1.0, lo.sum()))  # keeps sum(a) >= n - 2
+        probe = np.clip(probe, 0.0, 1.0)
+        probe_record = MeasurementRecord(n, probe)
+        if not closed_form_is_optimal(probe_record):
+            band["count"] += 1
+            diff = _qp_gap(probe_record)
+            band["max_closed_minus_qp"] = max(band["max_closed_minus_qp"], diff)
+            if diff < -1e-9:
+                band["qp_above_closed"] += 1
+
+    integ_ns = [n for n in range(n_min, n_max + 1) if n <= 4]
+    gamma_ts = [0.05, 0.1, 0.5] if trials > 0 else []
+    for n in integ_ns:
+        for gt in gamma_ts:
+            note("integrator", n, gt)
+
+    summary = {"trials": trials, "n_min": n_min, "n_max": n_max, "seed": seed, "suboptimal_band": band}
+    for kind, tolerance in TOLERANCES.items():
+        key = "max_abs_dev" if kind == "integrator" else "max_abs_gap"
+        summary[kind] = {key: worst[kind], "tolerance": tolerance, "ok": worst[kind] <= tolerance}
+    summary["integrator"].update(path_sizes=integ_ns, gamma_t_values=gamma_ts)
+    summary["ok"] = all(summary[kind]["ok"] for kind in TOLERANCES)
+    summary["failure"] = next((failures[kind] for kind in TOLERANCES if kind in failures), None)
+    return summary

@@ -17,11 +17,10 @@ import time
 
 import numpy as np
 
-from stabpurity.cli import reference_table_rows
 from stabpurity.diagonal import CoeffVector, coefficients, eigenvalues, purity, twirl
 from stabpurity.estimator import MeasurementRecord, estimate_entropy, kkt_certificate, min_purity
 from stabpurity.oracle import master_equation_evolve, max_entropy_numeric, qp_min_purity
-from stabpurity.simulator import dephased_coefficients, sample_measurements
+from stabpurity.simulator import dephased_coefficients, reference_table, sample_measurements
 from stabpurity.stabilizer import GraphSpec
 from support import dense_kkt, feasible_record, optimal_record
 
@@ -60,7 +59,7 @@ def shared_qp_records():
 
 def test_criterion_1_purity_table():
     start = time.perf_counter()
-    rows = {r["n"]: r["purity"] for r in reference_table_rows()}
+    rows = {r["n"]: r["purity"] for r in reference_table()["rows"]}
     elapsed = time.perf_counter() - start
     expected = {2: (0.8269, 0.8233, 0.0044), 3: (0.7520, 0.7417, 0.0137), 4: (0.6838, 0.6646, 0.0281)}
     ok = elapsed < 1.0
@@ -72,7 +71,7 @@ def test_criterion_1_purity_table():
 
 def test_criterion_2_entropy_table():
     start = time.perf_counter()
-    rows = {r["n"]: r["entropy"] for r in reference_table_rows()}
+    rows = {r["n"]: r["entropy"] for r in reference_table()["rows"]}
     elapsed = time.perf_counter() - start
     expected = {2: (0.3827, 0.3803, 0.0063), 3: (0.5740, 0.5667, 0.0127), 4: (0.7653, 0.7505, 0.0193)}
     ok = elapsed < 1.0

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabpurity import cli
+from stabpurity import oracle
 from stabpurity.cli import (
     build_report,
     load_measurement,
     main,
-    reference_table_rows,
     replay_instance,
 )
+from stabpurity.simulator import reference_table
 
 A01 = math.exp(-0.1)
 
@@ -87,6 +87,21 @@ class TestEstimate:
         assert report["s_lower"] == 0.0
         assert report["s_max"] == 0.0
 
+    def test_negative_zero_normalized_json(self, tmp_path, capsys):
+        # no entry is below 0, yet the normalized record must not keep a -0.0
+        f = write_json(tmp_path / "m.json", {"n": 3, "a": [-0.0, 1.0, 1.0]})
+        code, out, _ = run(capsys, "estimate", "--input", f, "--json")
+        report = json.loads(out)
+        assert code == 0
+        assert report["signs_flipped"] == "000"
+        assert [math.copysign(1.0, x) for x in report["a"]] == [1.0, 1.0, 1.0]
+
+    def test_negative_zero_normalized_text(self, tmp_path, capsys):
+        f = write_json(tmp_path / "m.json", {"n": 3, "a": [-0.0, 1.0, 1.0]})
+        code, out, _ = run(capsys, "estimate", "--input", f)
+        assert code == 0
+        assert "a (normalized)   = [0.0, 1.0, 1.0]\n" in out
+
     def test_negative_expectations_normalized(self, tmp_path, capsys):
         f = write_json(tmp_path / "m.json", {"n": 2, "a": [0.9, -0.9]})
         code, out, _ = run(capsys, "estimate", "--input", f, "--json")
@@ -122,6 +137,8 @@ class TestEstimate:
             ({"n": 1, "a": [0.5], "meta": {"run": [1, {"x": float("nan")}]}}, "meta"),
             ({"n": 1, "a": [0.5], "meta": {"x": float("-inf")}}, "meta"),
             ({"n": 1, "a": [10**400]}, "a"),
+            ([1, 2], "<file>"),
+            ({"n": 1, "a": [0.5], "meta": [1]}, "meta"),
         ],
     )
     def test_malformed_inputs_name_the_field(self, tmp_path, capsys, doc, fieldname):
@@ -138,6 +155,12 @@ class TestEstimate:
             assert code == 1, a
             assert out == ""
             assert str(target) in err
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        code, out, err = run(capsys, "estimate", "--input", str(tmp_path / "absent.json"))
+        assert code == 1
+        assert out == ""
+        assert "'<file>'" in err
 
     def test_not_json_at_all(self, tmp_path, capsys):
         f = tmp_path / "junk.json"
@@ -316,8 +339,14 @@ class TestReproduceTables:
         assert code == 0
         assert "0.8269" in out and "0.6646" in out
 
+    def test_output_file_matches_json_stdout(self, tmp_path, capsys):
+        target = tmp_path / "tables.json"
+        code, out, _ = run(capsys, "reproduce-tables", "--json", "--output", str(target))
+        assert code == 0
+        assert target.read_bytes() == out.encode("utf-8")
+
     def test_rows_helper(self):
-        rows = reference_table_rows()
+        rows = reference_table()["rows"]
         assert [r["n"] for r in rows] == [2, 3, 4]
         for r in rows:
             assert r["purity"]["matches"] and r["entropy"]["matches"]
@@ -386,6 +415,13 @@ class TestOracleCheck:
         assert out == ""
         assert f"'{fieldname}'" in err
 
+    def test_replay_kind_of_any_json_type(self, tmp_path, capsys):
+        for kind in ([1], {"qp": 1}, 3, None):  # lists and objects are unhashable
+            f = write_json(tmp_path / "inst.json", {"kind": kind, "n": 2, "a": [0.9, 0.8]})
+            code, out, err = run(capsys, "oracle-check", "--input", f)
+            assert (code, out) == (1, ""), kind
+            assert "'kind'" in err
+
     def test_replay_infeasible_record(self, tmp_path, capsys):
         # sum(a) = 0.3 < n - 2: no closed-form p_min to compare the QP with
         f = write_json(tmp_path / "inst.json", {"kind": "qp", "n": 3, "a": [0.1, 0.1, 0.1]})
@@ -418,8 +454,23 @@ class TestOracleCheck:
         assert out == ""
         assert "--trials" in err
 
+    def test_failure_file_round_trip(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(oracle.TOLERANCES, "qp", -1.0)  # every trial breaches
+        target = tmp_path / "failure.json"
+        code, out, err = run(capsys, "oracle-check", "--trials", "3", "--n-max", "3",
+                             "--failure-output", str(target))
+        assert code == 3
+        assert "suboptimal band:" in out and "TOLERANCE BREACH" in out
+        assert str(target) in err
+        written = json.loads(target.read_text(encoding="utf-8"))
+        code, out, _ = run(capsys, "oracle-check", "--input", str(target))
+        assert code == 3
+        replayed = json.loads(out)
+        assert replayed["kind"] == written["kind"] == "qp"
+        assert replayed["gap"].hex() == written["gap"].hex()
+
     def test_failure_output_into_missing_directory(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "QP_TOLERANCE", -1.0)  # every trial breaches
+        monkeypatch.setitem(oracle.TOLERANCES, "qp", -1.0)  # every trial breaches
         target = tmp_path / "missing" / "failure.json"
         code, _, err = run(capsys, "oracle-check", "--trials", "1", "--n-max", "2",
                            "--failure-output", str(target))

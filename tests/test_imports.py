@@ -1,5 +1,7 @@
-"""The package's import graph: a bare package, and estimate and exact simulate without numpy."""
+"""The package's import graph: a bare package, estimate, exact simulate and
+reproduce-tables without numpy, and no module reaching into another's private names."""
 
+import ast
 import json
 import os
 import subprocess
@@ -62,6 +64,10 @@ class TestNoNumpy:
     def test_estimate(self, argv, code):
         assert _probe(argv) == {"code": code, "numpy": False}
 
+    @pytest.mark.parametrize("argv", [["reproduce-tables"], ["reproduce-tables", "--json"]], ids=["text", "json"])
+    def test_reproduce_tables(self, argv):
+        assert _probe(argv) == {"code": 0, "numpy": False}
+
     def test_exact_simulate(self, tmp_path):
         argv = ["simulate", "--graph", "ring-6", "--gamma-t", "0.3", "--output", str(tmp_path / "m.json")]
         assert _probe(argv) == {"code": 0, "numpy": False}
@@ -72,6 +78,25 @@ class TestNoNumpy:
         argv = ["simulate", "--graph", "path-4", "--gamma-t", "0.1", "--shots", "100"]
         argv += ["--output", str(tmp_path / "m.json")]
         assert _probe(argv) == {"code": 0, "numpy": True}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_imports_another_modules_private_name():
+    offences = []
+    for path in sorted(Path(stabpurity.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("stabpurity")):
+                where = "." * node.level + (node.module or "")
+                offences += [f"{path.name}: {alias.name} from {where}" for alias in node.names if _private(alias.name)]
+            elif isinstance(node, ast.Import):
+                offences += [
+                    f"{path.name}: {alias.name}" for alias in node.names
+                    if alias.name.startswith("stabpurity") and any(map(_private, alias.name.split(".")))
+                ]
+    assert offences == []
 
 
 def test_readme_library_example_runs():

@@ -8,8 +8,8 @@ from stabpurity.errors import DenseCapExceeded
 from stabpurity.estimator import MeasurementRecord, binary_entropy, estimate_entropy, min_purity
 from stabpurity.oracle import (
     _CHECK_EVERY,
-    _MAX_GAMMA_T,
     _TOL,
+    MAX_GAMMA_T,
     ORACLE_CAP,
     _dephasing_rate,
     _rk4_step,
@@ -246,7 +246,7 @@ class TestIntegrator:
 
     def test_gamma_t_bound(self):
         g = GraphSpec(1)
-        for t in (_MAX_GAMMA_T * 1.001, 1e7, math.inf, math.nan):
+        for t in (MAX_GAMMA_T * 1.001, 1e7, math.inf, math.nan):
             with pytest.raises(ValueError, match="bound"):
                 master_equation_evolve(g, gamma=1.0, t=t)
 
