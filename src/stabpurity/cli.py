@@ -109,7 +109,7 @@ def _number_list(doc: dict, key: str, n: int, lo: float, hi: float) -> list[floa
             raise MalformedInput(key, f"non-numeric entry {v!r}")
         if not (lo <= v <= hi):
             raise MalformedInput(key, f"entry {v!r} outside [{lo}, {hi}]")
-        out.append(float(v))
+        out.append(float(v) + 0.0)  # + 0.0 turns a -0.0 into 0.0
     return out
 
 

@@ -102,6 +102,21 @@ class TestEstimate:
         assert code == 0
         assert "a (normalized)   = [0.0, 1.0, 1.0]\n" in out
 
+    def test_negative_zero_uncertainty_normalized_json(self, tmp_path, capsys):
+        f = write_json(tmp_path / "m.json", {"n": 2, "a": [0.5, -0.9], "delta_a": [-0.0, 0.1]})
+        code, out, _ = run(capsys, "estimate", "--input", f, "--json")
+        assert code == 0
+        assert [math.copysign(1.0, x) for x in json.loads(out)["delta_a"]] == [1.0, 1.0]
+
+    def test_negative_zero_uncertainty_normalized_text(self, tmp_path, capsys):
+        # the text report omits delta_a; the report file written beside it keeps it
+        f = write_json(tmp_path / "m.json", {"n": 2, "a": [0.5, -0.9], "delta_a": [-0.0, 0.1]})
+        report = tmp_path / "report.json"
+        code, out, _ = run(capsys, "estimate", "--input", f, "--output", str(report))
+        assert code == 0
+        assert "signs flipped    = 01\n" in out
+        assert '"delta_a": [\n    0.0,\n    0.1\n  ]' in report.read_text()
+
     def test_negative_expectations_normalized(self, tmp_path, capsys):
         f = write_json(tmp_path / "m.json", {"n": 2, "a": [0.9, -0.9]})
         code, out, _ = run(capsys, "estimate", "--input", f, "--json")

@@ -3,21 +3,31 @@ import math
 import numpy as np
 import pytest
 
+from stabpurity import oracle
 from stabpurity.diagonal import CoeffVector, assemble_dense, twirl
-from stabpurity.errors import DenseCapExceeded
-from stabpurity.estimator import MeasurementRecord, binary_entropy, estimate_entropy, min_purity
+from stabpurity.errors import DenseCapExceeded, NotConverged
+from stabpurity.estimator import (
+    MeasurementRecord,
+    binary_entropy,
+    closed_form_is_optimal,
+    estimate_entropy,
+    min_purity,
+)
 from stabpurity.oracle import (
     _CHECK_EVERY,
     _TOL,
     MAX_GAMMA_T,
     ORACLE_CAP,
+    TOLERANCES,
     _dephasing_rate,
+    _polish,
     _rk4_step,
     _sign_matrix,
     graph_state_vector,
     master_equation_evolve,
     max_entropy_numeric,
     qp_min_purity,
+    run_oracle_trials,
 )
 from stabpurity.stabilizer import DENSE_CAP, GraphSpec, expectation_value, generators
 from support import optimal_record, random_graph, suboptimal_record
@@ -109,10 +119,12 @@ class TestQp:
         assert s1.iterations == s2.iterations
 
     @pytest.mark.parametrize("n", range(1, ORACLE_CAP + 1))
-    def test_dual_form_is_dykstra(self, n):
+    def test_dual_form_is_dykstra(self, n, monkeypatch):
         # the dual loop carries n + 1 coefficients instead of the 2^n iterates;
         # in exact arithmetic both are the same sequence, so the stopping test
-        # fires at the same sweep and the spectra agree to rounding
+        # fires at the same sweep and the spectra agree to rounding.  The
+        # polish is switched off: it would stop the loop before Dykstra's test.
+        monkeypatch.setattr(oracle, "_polish", lambda *args: None)
         rng = np.random.default_rng(60 + n)
         records = [optimal_record(rng, n)] + ([suboptimal_record(rng, n)] if n >= 2 else [])
         for rec in records:
@@ -125,9 +137,86 @@ class TestQp:
         with pytest.raises(ValueError, match="sign-normalized"):
             qp_min_purity(record(-0.5))
 
+    def test_not_converged_past_budget(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_polish", lambda *args: None)
+        monkeypatch.setattr(oracle, "_MAX_ITER", 2 * _CHECK_EVERY)
+        with pytest.raises(NotConverged):
+            qp_min_purity(record(0.9, 0.85, 0.8, 0.95))
+
     def test_cap(self):
         with pytest.raises(DenseCapExceeded):
             qp_min_purity(MeasurementRecord(ORACLE_CAP + 1, np.full(ORACLE_CAP + 1, 0.9)))
+
+
+class TestPolish:
+    """The exact solve on a support is returned only if it meets the whole KKT system."""
+
+    @staticmethod
+    def system(*a):
+        return _sign_matrix(len(a)), np.concatenate(([1.0], a))
+
+    @staticmethod
+    def support(n, members):
+        mask = np.zeros(1 << n, bool)
+        mask[list(members)] = True
+        return mask
+
+    def test_true_support_accepted(self):
+        rows, b = self.system(0.0, 0.0)
+        np.testing.assert_array_equal(_polish(rows, b, self.support(2, range(4))), np.full(4, 0.25))
+
+    def test_negative_spectrum_rejected(self):
+        # full support on a domain record: B^T b / 4 has (1 - 0.99 - 0.95) / 4 < 0
+        rows, b = self.system(0.99, 0.95)
+        assert closed_form_is_optimal(MeasurementRecord(2, (0.99, 0.95)))
+        assert _polish(rows, b, self.support(2, range(4))) is None
+
+    def test_positive_score_off_support_rejected(self):
+        # on the mixed record, {0, 1, 2} gives the spectrum (0, 1/2, 1/2, 0): nonnegative
+        # and feasible, but (B^T nu)_3 = 1 > 0, so it is not the optimum (1/4 each)
+        rows, b = self.system(0.0, 0.0)
+        assert _polish(rows, b, self.support(2, [0, 1, 2])) is None
+
+    def test_singular_support_rejected(self):
+        rows, b = self.system(0.0, 0.0, 0.0)
+        assert _polish(rows, b, self.support(3, [0])) is None
+
+    def test_inexact_solve_fails_residual(self, monkeypatch):
+        # the check reads B and b, not the solver: a solve that comes back 10% short
+        # keeps every sign right, so only ||B lambda - b|| can reject it
+        rows, b = self.system(0.0, 0.0)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: 0.9 * solve(m, rhs))
+        assert _polish(rows, b, self.support(2, range(4))) is None
+
+    @pytest.mark.parametrize("n", range(1, ORACLE_CAP + 1))
+    def test_domain_records_equal_closed_form(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(3):
+            rec = optimal_record(rng, n)
+            sol = qp_min_purity(rec)
+            assert sol.kkt_residual <= 1e-12
+            assert abs(sol.objective - min_purity(rec).p_min) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, ORACLE_CAP + 1))
+    def test_band_records_below_closed_form(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(3):
+            rec = suboptimal_record(rng, n)
+            sol = qp_min_purity(rec)
+            assert sol.kkt_residual <= 1e-12
+            assert sol.objective <= min_purity(rec).p_min + 1e-12
+
+
+class TestOracleTrials:
+    def test_breach_always_has_failure_document(self, monkeypatch):
+        # an exact gap of 0.0 still breaches a negative tolerance
+        monkeypatch.setattr(oracle, "instance_gap", lambda kind, n, x: 0.0)
+        monkeypatch.setitem(TOLERANCES, "qp", -1.0)
+        summary = run_oracle_trials(2, 1, 2, seed=0)
+        assert not summary["ok"]
+        assert summary["failure"] is not None
+        assert summary["failure"]["kind"] == "qp"
 
 
 class TestMaxEntropy:
