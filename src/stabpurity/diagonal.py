@@ -9,6 +9,12 @@ c[0] = 1 by normalization.  Its eigenvalues are the signed averages
 a Walsh-Hadamard transform, computed here as an in-place butterfly in
 O(n 2^n).  The inverse is the same transform without the 2^{-n} factor.
 
+A dense state is read into that form by CZ conjugation (Hein, Eisert &
+Briegel, PRA 69, 062311, 2004).  The graph state is U|+>^n with
+U = prod_{(a,b) in E} CZ_ab, diagonal with u_k = (-1)^{#edges inside k}, and
+U X_a U = K_a, so every group element is S_i = U X^i U: a real signed
+permutation, and tr(rho S_i) = sum_k u_k u_{k^i} rho[k^i, k] for Hermitian rho.
+
 Entropy uses the natural logarithm throughout the package.
 """
 
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenseCapExceeded, NonPhysicalSpectrum, NonUnitTrace
-from .stabilizer import DENSE_CAP, GraphSpec, dense_matrix, expectation_value, stabilizer_element
+from .stabilizer import DENSE_CAP, GraphSpec, dense_matrix, stabilizer_element
 
 #: Entropy clamps eigenvalues in [-SPECTRUM_FLOOR, 0) to zero and rejects below.
 SPECTRUM_FLOOR = 1e-9
@@ -143,15 +149,29 @@ def twirl(rho: np.ndarray, graph: GraphSpec) -> CoeffVector:
 
     Equivalent to group-averaging rho over the stabilizer group (see
     :func:`twirl_average` for that literal, slower path) and preserves every
-    stabilizer expectation value.  Requires unit trace.
+    stabilizer expectation value.  With S_i = U X^i U (module docstring),
+
+        c[i] = Re sum_k sigma[k^i, k],    sigma = rho o u u^T,
+
+    one gather over all (i, k) pairs.  The sum runs in the dtype of rho, so
+    c[i] equals ``stabilizer.expectation_value`` of S_i bit for bit.  The real
+    part is tr(rho S_i) only for Hermitian rho, so this requires unit trace
+    and max|rho - rho^dagger| <= 1e-9, and raises ValueError past the latter.
     """
     _check_dense_input(rho, graph, "twirl")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-9:
         raise NonUnitTrace(f"trace {tr:.12g} differs from 1 by more than 1e-9")
-    return CoeffVector(
-        graph.n, [expectation_value(rho, s) for s in _stabilizer_group(graph)]
-    )
+    skew = float(np.abs(rho - rho.conj().T).max())
+    if skew > 1e-9:
+        raise ValueError(f"rho is not Hermitian: max|rho - rho^dagger| = {skew:.3g} above 1e-9")
+    k = np.arange(1 << graph.n)
+    inside = np.zeros_like(k)
+    for a, b in graph.edges:
+        inside += (k >> a) & (k >> b) & 1
+    u = 1.0 - 2.0 * (inside & 1)
+    sigma = rho * np.outer(u, u)
+    return CoeffVector(graph.n, sigma[k[:, None] ^ k, k].sum(axis=1).real)
 
 
 def twirl_average(rho: np.ndarray, graph: GraphSpec) -> np.ndarray:

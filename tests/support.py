@@ -82,6 +82,32 @@ def random_density_matrix(rng, dim: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+def kron_stabilizer_coefficients(rho: np.ndarray, graph: GraphSpec) -> np.ndarray:
+    """tr(rho S_i) for every group element, from dense np.kron generator matrices.
+
+    Generator k is X on vertex k and Z on each neighbor, with qubit 0 the
+    rightmost Kronecker factor (the fastest-varying index bit); S_i is the
+    product of the generators picked by the bits of i.  No CZ sign and no
+    package Pauli algebra enters.
+    """
+    x, z, eye = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]), np.eye(2)
+    gens = []
+    for k in range(graph.n):
+        neighbors = {v for e in graph.edges if k in e for v in e if v != k}
+        m = np.eye(1)
+        for j in range(graph.n):
+            m = np.kron(x if j == k else z if j in neighbors else eye, m)
+        gens.append(m)
+    coeffs = []
+    for i in range(1 << graph.n):
+        s = np.eye(1 << graph.n)
+        for k in range(graph.n):
+            if (i >> k) & 1:
+                s = s @ gens[k]
+        coeffs.append(np.trace(rho @ s).real)
+    return np.array(coeffs)
+
+
 def random_physical_coeffs(rng, n: int) -> np.ndarray:
     """Coefficient vector of a random stabilizer-diagonal state (physical by construction)."""
     lam = rng.dirichlet(np.ones(1 << n))

@@ -377,6 +377,14 @@ class TestOracleCheck:
         assert doc["entropy"]["max_abs_gap"] <= 1e-6
         assert doc["integrator"]["max_abs_dev"] <= 1e-8
 
+    def test_integrator_runs_at_every_size(self, capsys):
+        # sizes above 4 once dropped out, leaving an empty check that read ok
+        code, out, _ = run(capsys, "oracle-check", "--trials", "4", "--n-min", "5", "--n-max", "6", "--json")
+        assert code == 0
+        integrator = json.loads(out)["integrator"]
+        assert integrator["path_sizes"] == [5, 6]
+        assert 0.0 < integrator["max_abs_dev"] <= 1e-8
+
     def test_zero_trials(self, capsys):
         code, out, _ = run(capsys, "oracle-check", "--trials", "0", "--json")
         assert code == 0

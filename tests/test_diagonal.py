@@ -15,10 +15,19 @@ from stabpurity.diagonal import (
 )
 from stabpurity.errors import DenseCapExceeded, NonPhysicalSpectrum, NonUnitTrace
 from stabpurity.oracle import graph_state_vector, master_equation_evolve
-from stabpurity.stabilizer import DENSE_CAP, GraphSpec, expectation_value, generators
-from support import random_density_matrix, random_graph, random_physical_coeffs
+from stabpurity.stabilizer import DENSE_CAP, GraphSpec, expectation_value, generators, stabilizer_element
+from support import (
+    kron_stabilizer_coefficients,
+    random_density_matrix,
+    random_graph,
+    random_physical_coeffs,
+)
 
 PATH2 = GraphSpec.preset("path-2")
+#: Path, ring and star graphs up to n = 6 (rings from n = 3, stars from n = 2).
+FAMILIES = (
+    [f"path-{n}" for n in range(1, 7)] + [f"ring-{n}" for n in range(3, 7)] + [f"star-{n}" for n in range(2, 7)]
+)
 A01 = np.exp(-0.1)
 
 
@@ -118,9 +127,11 @@ class TestPurityEntropy:
 
 class TestTwirl:
     def test_pure_graph_state_gives_all_ones(self):
-        psi = graph_state_vector(PATH2)
-        c = twirl(np.outer(psi, psi.conj()), PATH2)
-        np.testing.assert_allclose(c.values, 1.0, atol=1e-12)
+        for name in FAMILIES:
+            graph = GraphSpec.preset(name)
+            psi = graph_state_vector(graph)
+            c = twirl(np.outer(psi, psi.conj()), graph)
+            np.testing.assert_allclose(c.values, 1.0, atol=1e-12, err_msg=name)
 
     def test_maximally_mixed_gives_unit_vector(self):
         c = twirl(np.eye(4) / 4, PATH2)
@@ -133,9 +144,35 @@ class TestTwirl:
         expected = [1.0, np.exp(-0.1), np.exp(-0.1), np.exp(-0.2)]
         np.testing.assert_allclose(c.values, expected, atol=1e-8)
 
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_matches_kron_reference(self, name):
+        # random complex Hermitian rho: the CZ signs and the gather against
+        # dense generator products built with np.kron
+        graph = GraphSpec.preset(name)
+        rho = random_density_matrix(np.random.default_rng(graph.n), 1 << graph.n)
+        np.testing.assert_allclose(
+            twirl(rho, graph).values, kron_stabilizer_coefficients(rho, graph), atol=1e-12
+        )
+
+    def test_bit_identical_to_pauli_expectations(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 3, 6):
+            graph = random_graph(rng, n)
+            for rho in (random_density_matrix(rng, 1 << n), np.eye(1 << n) / (1 << n)):
+                expected = [expectation_value(rho, stabilizer_element(graph, i)) for i in range(1 << n)]
+                assert np.array_equal(twirl(rho, graph).values, expected)
+
     def test_requires_unit_trace(self):
         with pytest.raises(NonUnitTrace):
             twirl(np.eye(4), PATH2)
+
+    def test_requires_hermitian(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = 0.1j  # unit trace, but rho[1, 0] stays 0
+        with pytest.raises(ValueError, match="Hermitian"):
+            twirl(rho, PATH2)
+        rho[1, 0] = -0.1j + 5e-10  # within the 1e-9 slack
+        twirl(rho, PATH2)
 
     def test_respects_cap(self):
         with pytest.raises(DenseCapExceeded):

@@ -318,13 +318,20 @@ class TestIntegrator:
             dense += z_i @ rho @ z_i - rho
         np.testing.assert_allclose(_dephasing_rate(n, gamma) * rho, (gamma / 2) * dense, atol=1e-12)
 
-    @pytest.mark.parametrize("name", ["path-4", "ring-6", "star-6"])
-    def test_real_arithmetic_is_bit_identical(self, name):
-        # rho_0 and the rate are real, so complex arithmetic only carries zeros
+    @pytest.mark.parametrize(
+        "name, gamma_ts",
+        [pytest.param(name, (0.1, 0.5, 2.0), id=name) for name in ("path-1", "path-4", "ring-6", "star-6")]
+        + [pytest.param("star-8", (0.1, 0.5), id="star-8")],
+    )
+    def test_real_arithmetic_is_bit_identical(self, name, gamma_ts):
+        # the dense 2^n x 2^n loop below is the whole integration, step by step:
+        # it pins both the real arithmetic (rho_0 and the rate are real, so
+        # complex arithmetic only carries zeros) and the one-run-per-distinct-
+        # (rho_0, rate)-pair reduction
         g = GraphSpec.preset(name)
         psi = graph_state_vector(g)
         rate = _dephasing_rate(g.n, 1.0)
-        for gt in (0.1, 0.5):
+        for gt in gamma_ts:
             rho = np.outer(psi, psi.conj())
             steps = max(100, math.ceil(1000.0 * gt))
             for _ in range(steps):
