@@ -378,7 +378,7 @@ class TestOracleCheck:
         assert doc["integrator"]["max_abs_dev"] <= 1e-8
 
     def test_integrator_runs_at_every_size(self, capsys):
-        # sizes above 4 once dropped out, leaving an empty check that read ok
+        # every size in the range is integrated, so the check never passes empty
         code, out, _ = run(capsys, "oracle-check", "--trials", "4", "--n-min", "5", "--n-max", "6", "--json")
         assert code == 0
         integrator = json.loads(out)["integrator"]
