@@ -330,7 +330,7 @@ def replay_instance(doc) -> dict:
     """Recompute the deviation of a serialized failing instance.
 
     Raises MalformedInput naming the field unless the document is an object
-    with a known ``kind``, ``n`` in 1..ORACLE_CAP, and either ``a`` (n numbers
+    with a known ``kind``, ``n`` in 1..DENSE_CAP (10), and either ``a`` (n numbers
     in [0, 1]) or, for the integrator, a ``gamma_t`` in [0, MAX_GAMMA_T].
     """
     oracle = _oracle()
@@ -339,7 +339,7 @@ def replay_instance(doc) -> dict:
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in oracle.TOLERANCES:
         raise MalformedInput("kind", f"unknown instance kind {kind!r}")
-    n = _qubit_count(doc, oracle.ORACLE_CAP)
+    n = _qubit_count(doc, DENSE_CAP)
     if kind == "integrator":
         x = doc.get("gamma_t")
         if not _is_number(x) or not 0 <= x <= oracle.MAX_GAMMA_T:
@@ -361,8 +361,8 @@ def cmd_oracle_check(args) -> int:
             return 2
         sys.stdout.write(_json_text(result))
         return 0 if result["ok"] else 3
-    if not (1 <= args.n_min <= args.n_max <= oracle.ORACLE_CAP):
-        print(f"error: need 1 <= --n-min <= --n-max <= {oracle.ORACLE_CAP}", file=sys.stderr)
+    if not (1 <= args.n_min <= args.n_max <= DENSE_CAP):
+        print(f"error: need 1 <= --n-min <= --n-max <= {DENSE_CAP}", file=sys.stderr)
         return 1
     if args.seed < 0:
         print("error: --seed must be nonnegative", file=sys.stderr)

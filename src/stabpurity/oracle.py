@@ -1,11 +1,11 @@
 """Brute-force numeric verifiers for the closed-form estimators.
 
 Everything here trades efficiency for independence: the quadratic program is
-solved by alternating projections in the full 2^n eigenvalue space, the
-maximum-entropy problem by one-dimensional root finding, and the dephasing
-channel by Runge-Kutta integration of the dense density matrix's master
-equation, one run per distinct (initial entry, rate) pair.  None of these
-paths share formulas with the estimator module they are used to check.
+solved by accelerated alternating projections in the full 2^n eigenvalue
+space, the maximum-entropy problem by one-dimensional root finding, and the
+dephasing channel by Runge-Kutta integration of the dense density matrix's
+master equation, one run per distinct (initial entry, rate) pair.  None of
+these paths share formulas with the estimator module they are used to check.
 
 The purity QP is run in the eigenvalue basis, where positivity is the
 nonnegative orthant and each measured expectation is a single-bit parity sum:
@@ -16,35 +16,37 @@ nonnegative orthant and each measured expectation is a single-bit parity sum:
              lambda >= 0.
 
 Minimizing the sum of squares over that set is exactly the Euclidean
-projection of the origin onto it, so Dykstra's alternating projections
-(affine set <-> orthant, with correction terms; Boyle & Dykstra 1986)
-converge to the optimum.  Write B for the (n+1) x 2^n constraint matrix
-(Walsh characters, so B B^T = 2^n I and the affine projection is closed-form)
-and b = (1, a).  From x = p = q = 0 one Dykstra sweep reads
+projection of the origin onto it.  Write B for the (n+1) x 2^n constraint
+matrix (Walsh characters, so B B^T = 2^n I) and b = (1, a).  The Lagrange
+dual of that projection is the concave function of n + 1 coefficients
 
-    u = x + p,  y = u - B^T (B u - b) / 2^n,  p = u - y,
-    v = y + q,  x = max(v, 0),  q = v - x.
+    D(nu) = b . nu - ||max(B^T nu, 0)||^2 / 2,    grad D(nu) = b - B max(B^T nu, 0),
 
-By induction u = -q, so p = B^T (B u - b) / 2^n and v = y + q = -p: the
-vector before the orthant clip lies in the row space of B, v = B^T nu, and
-the correction terms are p = -B^T nu and q = min(B^T nu, 0).  Using
-B min(B^T nu, 0) = 2^n nu - B max(B^T nu, 0), the sweep in the n+1 dual
-coefficients is
+whose gradient is Lipschitz with constant ||B||^2 = 2^n; the primal point of
+nu is x = max(B^T nu, 0).  The plain ascent step nu <- nu + grad D(nu) / 2^n
+is Dykstra's alternating projections (affine set <-> orthant; Boyle &
+Dykstra 1986) written in the dual coefficients.  The loop below takes the
+same step from an extrapolated point, which makes it accelerated Dykstra
+(FISTA momentum; Chambolle & Pock, SMAI J. Comput. Math. 1, 2015):
 
-    nu <- nu + b / 2^n - (B / 2^n) max(B^T nu, 0),     x = max(B^T nu, 0),
+    nu_k = y + grad D(y) / 2^n,
+    t' = (1 + sqrt(1 + 4 t^2)) / 2,    y <- nu_k + ((t - 1) / t') (nu_k - nu_{k-1}),
 
-which is the loop below: the same iterates in exact arithmetic, at the cost
-of two thin matrix-vector products per sweep instead of about ten 2^n-vector
-operations.  The correction terms are the KKT multipliers: p lies in the
-row space of B, q is nonpositive with exact complementarity, and
-stationarity x + p + q = 0 holds by construction, so
+with a gradient restart (O'Donoghue & Candes, Found. Comput. Math. 15, 2015):
+when the step nu_k - y points against the last move nu_k - nu_{k-1} (negative
+dot product), t is reset to 1, so that sweep carries no momentum.  Each
+sweep costs two thin matrix-vector products.  Whatever nu the loop is at,
+the multipliers p = -B^T nu (in the row space of B) and q = min(B^T nu, 0)
+(nonpositive, with exact complementarity against x) make stationarity
+x + p + q = 0 hold by construction, so
 
     kkt_residual = ||B x - b||_inf
 
-is the whole KKT system violation.
+is the whole KKT system violation, and the loop may stop once it is at most
+``_TOL``.
 
-Certified polish.  Dykstra finds the support of the optimum long before it
-settles the last digits, so every ``_CHECK_EVERY`` sweeps the loop first
+Certified polish.  The sweep finds the support of the optimum long before it
+settles the last digits, so every ``_CHECK_EVERY`` = 10 sweeps the loop first
 tries the exact-on-support step of active-set NNLS (Lawson & Hanson 1974,
 ch. 23).  With S = {j : (B^T nu)_j > 0} it solves the (n+1) x (n+1) system
 
@@ -55,9 +57,11 @@ and accepts lambda only if, each to ``_CERT_TOL`` = 1e-12,
     lambda_S >= 0,    (B^T nu_S)_j <= 0 off S,    B lambda = b (max norm).
 
 Stationarity and complementarity hold by construction, so these three are
-the whole KKT system of the QP: the answer is certified from B and b only.
-A singular system or a failed check means another ``_CHECK_EVERY`` sweeps;
-Dykstra's own stopping test above stays the fallback.
+the whole KKT system of the QP: the answer is certified from B and b only,
+and the certificate does not depend on how the sweep reached S.  A singular
+system (some a_k exactly 0 or 1 pins a bit on the support) or a failed check
+means another ``_CHECK_EVERY`` sweeps; the residual test above stays the
+fallback.
 
 Cross-check.  ``instance_gap`` scores one instance of a check kind (``qp``,
 ``entropy`` or ``integrator``) as the deviation of the closed form from its
@@ -80,10 +84,8 @@ from .estimator import MeasurementRecord, closed_form_is_optimal, estimate_entro
 from .simulator import dephased_coefficients
 from .stabilizer import DENSE_CAP, GraphSpec
 
-#: Largest n the numeric solvers accept (2^n-dimensional iterates).
-ORACLE_CAP = 8
 #: Iterations between convergence checks.
-_CHECK_EVERY = 100
+_CHECK_EVERY = 10
 #: QP stopping residual and iteration budget.
 _TOL = 1e-9
 _MAX_ITER = 10**6
@@ -97,6 +99,12 @@ TOLERANCES = {"qp": 1e-6, "entropy": 1e-6, "integrator": 1e-8}
 
 @dataclass(frozen=True)
 class QpSolution:
+    """The numeric optimum of the purity QP.
+
+    ``iterations`` counts the accelerated dual sweeps run (a multiple of
+    ``_CHECK_EVERY``); ``kkt_residual`` is ||B lambda - b||_inf.
+    """
+
     lambda_star: np.ndarray
     objective: float
     iterations: int
@@ -116,18 +124,19 @@ def _sign_matrix(n: int) -> np.ndarray:
 def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     """Numeric minimum purity over the eigenvalue simplex; see module docstring.
 
-    Deterministic (no randomized restarts): identical inputs give identical
-    iterates.  ``iterations`` counts the Dykstra sweeps run until a spectrum
-    was returned: the first certified polish, or else Dykstra's stopping
-    test, after which the spectrum is normalized to exact unit mass.
-    ``kkt_residual`` is ||B lambda - b||_inf of the returned spectrum; it is
-    at most ``_CERT_TOL`` whenever the polish certified it.
-    The constraint set is never empty on [0, 1]^n: the product spectrum
-    prod_k (1 +- a_k)/2 satisfies it.  Dykstra stops once its residual is at
-    most ``_TOL``; raises NotConverged past ``_MAX_ITER`` iterations.
+    Deterministic: the restarts are decided by the iterates alone, so
+    identical inputs give identical iterates.  ``iterations`` counts the
+    accelerated sweeps run until a spectrum was returned: the first certified
+    polish, or else the residual test, after which the spectrum is normalized
+    to exact unit mass.  ``kkt_residual`` is ||B lambda - b||_inf of the
+    returned spectrum; it is at most ``_CERT_TOL`` whenever the polish
+    certified it.  The constraint set is never empty on [0, 1]^n: the product
+    spectrum prod_k (1 +- a_k)/2 satisfies it.  The residual test passes once
+    ||B lambda - b||_inf is at most ``_TOL``; raises NotConverged past
+    ``_MAX_ITER`` sweeps.
     """
-    if record.n > ORACLE_CAP:
-        raise DenseCapExceeded(record.n, ORACLE_CAP, "numeric quadratic program")
+    if record.n > DENSE_CAP:
+        raise DenseCapExceeded(record.n, DENSE_CAP, "numeric quadratic program")
     _require_unit_interval(record.a)
     dim = 1 << record.n
     rows = _sign_matrix(record.n)
@@ -135,11 +144,17 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     step_rows = rows / dim  # rows are orthogonal with norm^2 = dim
     step_b = b / dim
     nu = np.zeros(record.n + 1)
+    y, t = nu, 1.0
     iterations = 0
     residual = math.inf
     while iterations < _MAX_ITER:
-        for _ in range(_CHECK_EVERY):  # one Dykstra sweep in dual form (module docstring)
-            nu += step_b - step_rows @ np.maximum(rows.T @ nu, 0.0)
+        for _ in range(_CHECK_EVERY):  # one accelerated dual sweep (module docstring)
+            nxt = y + step_b - step_rows @ np.maximum(rows.T @ y, 0.0)
+            if np.dot(nxt - nu, nxt - y) < 0.0:  # gradient restart
+                t = 1.0
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = nxt + ((t - 1.0) / t_next) * (nxt - nu)
+            nu, t = nxt, t_next
         iterations += _CHECK_EVERY
         scores = rows.T @ nu
         x = _polish(rows, b, scores > 0.0)
@@ -205,8 +220,8 @@ def max_entropy_numeric(record: MeasurementRecord) -> tuple[np.ndarray, float]:
     entropy is then evaluated directly from the assembled 2^n spectrum.
     Returns (lambda_star, s_max).
     """
-    if record.n > ORACLE_CAP:
-        raise DenseCapExceeded(record.n, ORACLE_CAP, "numeric entropy maximization")
+    if record.n > DENSE_CAP:
+        raise DenseCapExceeded(record.n, DENSE_CAP, "numeric entropy maximization")
     _require_unit_interval(record.a)
     lam = np.array([1.0])
     for ak in record.a:

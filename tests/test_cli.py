@@ -427,7 +427,7 @@ class TestOracleCheck:
             ({"kind": "integrator", "n": 2, "gamma_t": -0.1}, "gamma_t"),
             ({"kind": "integrator", "n": 2, "gamma_t": float("nan")}, "gamma_t"),
             ({"kind": "integrator", "n": 2, "gamma_t": "0.1"}, "gamma_t"),
-            ({"kind": "integrator", "n": 9, "gamma_t": 0.1}, "n"),
+            ({"kind": "integrator", "n": 11, "gamma_t": 0.1}, "n"),
             ({"kind": "integrator", "n": 2, "gamma_t": 1e7}, "gamma_t"),
         ],
     )

@@ -17,7 +17,6 @@ from stabpurity.oracle import (
     _CHECK_EVERY,
     _TOL,
     MAX_GAMMA_T,
-    ORACLE_CAP,
     TOLERANCES,
     _dephasing_rate,
     _polish,
@@ -118,20 +117,50 @@ class TestQp:
         np.testing.assert_array_equal(s1.lambda_star, s2.lambda_star)
         assert s1.iterations == s2.iterations
 
-    @pytest.mark.parametrize("n", range(1, ORACLE_CAP + 1))
-    def test_dual_form_is_dykstra(self, n, monkeypatch):
-        # the dual loop carries n + 1 coefficients instead of the 2^n iterates;
-        # in exact arithmetic both are the same sequence, so the stopping test
-        # fires at the same sweep and the spectra agree to rounding.  The
-        # polish is switched off: it would stop the loop before Dykstra's test.
-        monkeypatch.setattr(oracle, "_polish", lambda *args: None)
+    @pytest.mark.parametrize("n", range(1, DENSE_CAP + 1))
+    def test_accelerated_sweep_reaches_the_optimum(self, n, monkeypatch):
+        # with the polish switched off the accelerated loop must stop by Dykstra's
+        # own test, at the optimum that primal Dykstra (the reference, too slow
+        # past n = 8) and the certified polish both find, and in at most 2,000
+        # sweeps: plain Dykstra needs 63,480 here at n = 8, and momentum without
+        # the restart 39,200
         rng = np.random.default_rng(60 + n)
         records = [optimal_record(rng, n)] + ([suboptimal_record(rng, n)] if n >= 2 else [])
-        for rec in records:
-            lam, iterations = primal_dykstra(rec)
+        certified = [qp_min_purity(rec).lambda_star for rec in records]
+        monkeypatch.setattr(oracle, "_polish", lambda *args: None)
+        for rec, exact in zip(records, certified):
             sol = qp_min_purity(rec)
-            assert sol.iterations == iterations
-            assert np.abs(sol.lambda_star - lam).max() <= 1e-12
+            assert sol.iterations <= 2000
+            assert np.abs(sol.lambda_star - exact).max() <= 1e-8
+            if n <= 8:
+                assert np.abs(sol.lambda_star - primal_dykstra(rec)[0]).max() <= 1e-8
+
+    @pytest.mark.parametrize("n", range(1, DENSE_CAP + 1))
+    def test_binary_records_fall_back_to_dykstra(self, n, monkeypatch):
+        # an a_k of exactly 0 or 1 leaves the optimum uniform on the 2^zeros
+        # eigenvalues that fit the pinned bits; a pinned bit makes the support
+        # system singular, so Dykstra's stopping test answers (at least the
+        # all-ones record takes that path at every n)
+        rng = np.random.default_rng(90 + n)
+        ones = np.eye(n)
+        records = [np.ones(n), np.zeros(n), ones[0], ones[-1]] + [
+            rng.integers(0, 2, size=n).astype(float) for _ in range(4)
+        ]
+        polish, accepted = oracle._polish, []
+
+        def spy(*args):
+            x = polish(*args)
+            accepted.append(x is not None)
+            return x
+
+        monkeypatch.setattr(oracle, "_polish", spy)
+        fallbacks = 0
+        for a in records:
+            sol = qp_min_purity(MeasurementRecord(n, a))
+            fallbacks += not accepted[-1]
+            assert abs(sol.objective - 0.5 ** (n - int(a.sum()))) <= 1e-9
+            assert sol.kkt_residual <= _TOL
+        assert fallbacks >= 1
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sign-normalized"):
@@ -145,7 +174,7 @@ class TestQp:
 
     def test_cap(self):
         with pytest.raises(DenseCapExceeded):
-            qp_min_purity(MeasurementRecord(ORACLE_CAP + 1, np.full(ORACLE_CAP + 1, 0.9)))
+            qp_min_purity(MeasurementRecord(DENSE_CAP + 1, np.full(DENSE_CAP + 1, 0.9)))
 
 
 class TestPolish:
@@ -189,7 +218,7 @@ class TestPolish:
         monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: 0.9 * solve(m, rhs))
         assert _polish(rows, b, self.support(2, range(4))) is None
 
-    @pytest.mark.parametrize("n", range(1, ORACLE_CAP + 1))
+    @pytest.mark.parametrize("n", range(1, DENSE_CAP + 1))
     def test_domain_records_equal_closed_form(self, n):
         rng = np.random.default_rng(70 + n)
         for _ in range(3):
@@ -198,7 +227,7 @@ class TestPolish:
             assert sol.kkt_residual <= 1e-12
             assert abs(sol.objective - min_purity(rec).p_min) <= 1e-12
 
-    @pytest.mark.parametrize("n", range(2, ORACLE_CAP + 1))
+    @pytest.mark.parametrize("n", range(2, DENSE_CAP + 1))
     def test_band_records_below_closed_form(self, n):
         rng = np.random.default_rng(80 + n)
         for _ in range(3):
@@ -252,7 +281,7 @@ class TestMaxEntropy:
 
     def test_cap(self):
         with pytest.raises(DenseCapExceeded):
-            max_entropy_numeric(MeasurementRecord(ORACLE_CAP + 1, np.full(ORACLE_CAP + 1, 0.9)))
+            max_entropy_numeric(MeasurementRecord(DENSE_CAP + 1, np.full(DENSE_CAP + 1, 0.9)))
 
 
 class TestIntegrator:
