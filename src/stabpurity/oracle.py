@@ -4,7 +4,8 @@ Everything here trades efficiency for independence: the quadratic program is
 solved by accelerated alternating projections in the full 2^n eigenvalue
 space, the maximum-entropy problem by one-dimensional root finding, and the
 dephasing channel by Runge-Kutta integration of the dense density matrix's
-master equation, one run per distinct (initial entry, rate) pair.  None of
+master equation, one scalar float run per distinct (|initial entry|, rate)
+pair with the sign of the initial entry restored exactly.  None of
 these paths share formulas with the estimator module they are used to check.
 
 The purity QP is run in the eigenvalue basis, where positivity is the
@@ -262,7 +263,13 @@ def _dephasing_rate(n: int, gamma: float) -> np.ndarray:
     return (gamma / 2.0) * rate
 
 
-def _rk4_step(rho: np.ndarray, rate: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_step(rho, rate, dt: float):
+    """One classic RK4 step of drho/dt = rate * rho (elementwise).
+
+    ``master_equation_evolve`` calls it on Python floats, one (|rho_0|, rate)
+    pair at a time; the tests call it on dense 2^n x 2^n arrays as the
+    reference.  Both run the same IEEE double operations in the same order.
+    """
     k1 = rate * rho
     k2 = rate * (rho + 0.5 * dt * k1)
     k3 = rate * (rho + 0.5 * dt * k2)
@@ -285,22 +292,30 @@ def master_equation_evolve(
     the real parts complex arithmetic would, bit for bit; the result is
     returned as a complex matrix.
 
-    Because the step is elementwise, two entries with the same (rho_0, R)
-    pair go through the same floating-point operations and stay equal at
-    every step.  So the integration runs once per distinct pair, found by
-    ``np.unique`` on the arrays themselves, and is scattered back to the
-    2^n x 2^n matrix at the end: the same matrix as stepping every entry,
-    bit for bit.  A graph state has rho_0 = +-2^-n and R takes n + 1 values,
-    so there are at most 2(n + 1) pairs against 4^n entries.  ``np.unique``
-    counts -0.0 and 0.0 as one value; that is safe because +, - and * give
-    equal values for operands that differ only in the sign of zero, so the
-    two entries could differ at most in the sign of an exact zero result.
+    Because the step is elementwise, each entry evolves on its own.  The
+    integration therefore runs once per distinct (|rho_0|, R) pair, found by
+    ``np.unique`` on the matrices themselves, as a plain Python ``float`` run
+    through :func:`_rk4_step`, and is scattered back to the 2^n x 2^n matrix
+    at the end with the sign of rho_0.  That is the same matrix as stepping
+    every entry as an array, bit for bit: a numpy elementwise operation and
+    the Python float operation are each one correctly rounded IEEE double
+    operation, done in the same order; round-to-nearest is odd-symmetric, so
+    the run from -|rho_0| is exactly the negation of the run from |rho_0|;
+    and multiplying by +-1.0 is exact.  A graph state has the single
+    |rho_0| = 2^-n and R takes the n + 1 values -gamma*d, d = 0..n the
+    Hamming distance, so there are n + 1 runs against 4^n entries.  The key
+    holds |rho_0| >= +0.0 and R, which is +0.0 on the diagonal and negative
+    elsewhere, so no -0.0 enters it and ``np.unique`` never has to merge
+    signed zeros.
 
     gamma*t is capped at ``MAX_GAMMA_T`` = 30, which bounds the default step
     count by 30,000.  Past gamma*t = ln(1e8) ~ 18.4 every off-diagonal
     coefficient exp(-gamma*t*w), w >= 1, is below the 1e-8 integrator
     tolerance, so longer runs add only time; the cap leaves room for
-    full-dephasing checks that want exp(-gamma*t) below 1e-10.
+    full-dephasing checks that want exp(-gamma*t) below 1e-10.  gamma is
+    rejected when 6*gamma*n overflows: the largest rate is gamma*n and the
+    step's sum k1 + 2 k2 + 2 k3 + k4 reaches up to 6 times a rate times an
+    entry, so a finite bound there keeps every intermediate finite.
     """
     if graph.n > DENSE_CAP:
         raise DenseCapExceeded(graph.n, DENSE_CAP, "master-equation integration")
@@ -309,6 +324,8 @@ def master_equation_evolve(
     gt = gamma * t
     if not gt <= MAX_GAMMA_T:
         raise ValueError(f"gamma*t = {gt} above the integrator's bound {MAX_GAMMA_T}")
+    if not math.isfinite(6.0 * gamma * graph.n):
+        raise ValueError(f"gamma = {gamma} overflows the rates of {graph.n} qubits")
     floor = max(1, math.ceil(1000.0 * gt))
     if steps is None:
         steps = max(100, floor)
@@ -317,14 +334,16 @@ def master_equation_evolve(
     psi = graph_state_vector(graph).real
     rho = np.outer(psi, psi)
     if gt != 0.0:
-        key = rho.astype(complex)  # parts set, not computed: rho + 1j * R is nan where R is inf
+        key = np.abs(rho).astype(complex)
         key.imag = _dephasing_rate(graph.n, gamma)
         pairs, inverse = np.unique(key.ravel(), return_inverse=True)
-        x, rate = pairs.real, pairs.imag
         dt = t / steps
-        for _ in range(steps):
-            x = _rk4_step(x, rate, dt)
-        rho = x[inverse].reshape(rho.shape)
+        ends = []
+        for x, rate in zip(pairs.real.tolist(), pairs.imag.tolist()):
+            for _ in range(steps):
+                x = _rk4_step(x, rate, dt)
+            ends.append(x)
+        rho = np.where(rho < 0.0, -1.0, 1.0) * np.array(ends)[inverse].reshape(rho.shape)
     return rho.astype(complex)
 
 

@@ -346,26 +346,57 @@ class TestIntegrator:
         np.testing.assert_allclose(_dephasing_rate(n, gamma) * rho, (gamma / 2) * dense, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "name, gamma_ts",
-        [pytest.param(name, (0.1, 0.5, 2.0), id=name) for name in ("path-1", "path-4", "ring-6", "star-6")]
-        + [pytest.param("star-8", (0.1, 0.5), id="star-8")],
+        "name, gamma, gamma_ts",
+        [pytest.param(name, 1.0, (0.1, 0.5, 2.0), id=name) for name in ("path-1", "path-4", "ring-6", "star-6")]
+        + [pytest.param("star-8", 1.0, (0.1, 0.5), id="star-8")]
+        + [
+            pytest.param(name, 0.37, (0.1, 0.5), id=f"{name}-gamma0.37")
+            for name in ("path-1", "path-4", "ring-6", "star-6")
+        ],
     )
-    def test_real_arithmetic_is_bit_identical(self, name, gamma_ts):
+    def test_real_arithmetic_is_bit_identical(self, name, gamma, gamma_ts):
         # the dense 2^n x 2^n loop below is the whole integration, step by step:
         # it pins both the real arithmetic (rho_0 and the rate are real, so
-        # complex arithmetic only carries zeros) and the one-run-per-distinct-
-        # (rho_0, rate)-pair reduction
+        # complex arithmetic only carries zeros) and the one-float-run-per-
+        # (|rho_0|, rate)-pair reduction with its sign restore
         g = GraphSpec.preset(name)
         psi = graph_state_vector(g)
-        rate = _dephasing_rate(g.n, 1.0)
+        rate = _dephasing_rate(g.n, gamma)
         for gt in gamma_ts:
+            t = gt / gamma
             rho = np.outer(psi, psi.conj())
-            steps = max(100, math.ceil(1000.0 * gt))
+            steps = max(100, math.ceil(1000.0 * (gamma * t)))
             for _ in range(steps):
-                rho = _rk4_step(rho, rate, gt / steps)
-            evolved = master_equation_evolve(g, gamma=1.0, t=gt)
+                rho = _rk4_step(rho, rate, t / steps)
+            evolved = master_equation_evolve(g, gamma=gamma, t=t)
             assert evolved.dtype == rho.dtype
             assert np.array_equal(evolved, rho)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_float_run_per_distance(self, n, monkeypatch):
+        # a graph state has one |rho_0| and n + 1 rates, so n + 1 scalar runs
+        calls = []
+
+        def counted(x, rate, dt):
+            calls.append((type(x), type(rate), type(dt)))
+            return _rk4_step(x, rate, dt)
+
+        monkeypatch.setattr(oracle, "_rk4_step", counted)
+        for kind in ("path", "ring", "star"):
+            for gamma, t, steps in ((1.0, 0.1, None), (0.37, 0.5, 250)):
+                calls.clear()
+                master_equation_evolve(GraphSpec.preset(f"{kind}-{n}"), gamma, t, steps)
+                expected_steps = steps or max(100, math.ceil(1000.0 * gamma * t))
+                assert len(calls) == (n + 1) * expected_steps
+                assert set(calls) == {(float, float, float)}
+
+    def test_rejects_overflowing_rates(self):
+        # gamma*t is small but the rates overflow; this once returned all-nan
+        for name, gamma, t in (("path-3", 1e308, 1e-308), ("path-1", 9e307, 1e-308)):
+            with pytest.raises(ValueError, match="overflows"):
+                master_equation_evolve(GraphSpec.preset(name), gamma, t)
+        rho = master_equation_evolve(GraphSpec.preset("path-3"), 1e300, 1e-300)
+        assert np.isfinite(rho).all()
 
     def test_gamma_t_bound(self):
         g = GraphSpec(1)
