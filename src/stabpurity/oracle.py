@@ -301,12 +301,12 @@ def master_equation_evolve(
     the Python float operation are each one correctly rounded IEEE double
     operation, done in the same order; round-to-nearest is odd-symmetric, so
     the run from -|rho_0| is exactly the negation of the run from |rho_0|;
-    and multiplying by +-1.0 is exact.  A graph state has the single
-    |rho_0| = 2^-n and R takes the n + 1 values -gamma*d, d = 0..n the
-    Hamming distance, so there are n + 1 runs against 4^n entries.  The key
-    holds |rho_0| >= +0.0 and R, which is +0.0 on the diagonal and negative
-    elsewhere, so no -0.0 enters it and ``np.unique`` never has to merge
-    signed zeros.
+    and multiplying by +-1.0 is exact.  A graph state has a single |rho_0|
+    (2^-n up to rounding) and R takes the n + 1 values -gamma*d, d = 0..n
+    the Hamming distance, so there are n + 1 runs against 4^n entries.
+    The key holds |rho_0| >= +0.0 and R, which is +0.0 on the diagonal and
+    negative elsewhere, so no -0.0 enters it and ``np.unique`` never has to
+    merge signed zeros.
 
     gamma*t is capped at ``MAX_GAMMA_T`` = 30, which bounds the default step
     count by 30,000.  Past gamma*t = ln(1e8) ~ 18.4 every off-diagonal

@@ -391,7 +391,7 @@ class TestIntegrator:
                 assert set(calls) == {(float, float, float)}
 
     def test_rejects_overflowing_rates(self):
-        # gamma*t is small but the rates overflow; this once returned all-nan
+        # gamma*t is small but the rates or the RK4 sum overflow; both once gave nan entries
         for name, gamma, t in (("path-3", 1e308, 1e-308), ("path-1", 9e307, 1e-308)):
             with pytest.raises(ValueError, match="overflows"):
                 master_equation_evolve(GraphSpec.preset(name), gamma, t)
