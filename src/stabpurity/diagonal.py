@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenseCapExceeded, NonPhysicalSpectrum, NonUnitTrace
-from .stabilizer import DENSE_CAP, GraphSpec, dense_matrix, stabilizer_element
+from .stabilizer import DENSE_CAP, GraphSpec
 
 #: Entropy clamps eigenvalues in [-SPECTRUM_FLOOR, 0) to zero and rejects below.
 SPECTRUM_FLOOR = 1e-9
@@ -132,10 +132,6 @@ def entropy(s: Spectrum) -> float:
     return float(-np.dot(pos, np.log(pos)))
 
 
-def _stabilizer_group(graph: GraphSpec):
-    return [stabilizer_element(graph, i) for i in range(1 << graph.n)]
-
-
 def _check_dense_input(rho: np.ndarray, graph: GraphSpec, what: str) -> None:
     if graph.n > DENSE_CAP:
         raise DenseCapExceeded(graph.n, DENSE_CAP, what)
@@ -147,14 +143,12 @@ def _check_dense_input(rho: np.ndarray, graph: GraphSpec, what: str) -> None:
 def twirl(rho: np.ndarray, graph: GraphSpec) -> CoeffVector:
     """Project rho onto stabilizer-diagonal form by reading tr(rho S_i) for all i.
 
-    Equivalent to group-averaging rho over the stabilizer group (see
-    :func:`twirl_average` for that literal, slower path) and preserves every
-    stabilizer expectation value.  With S_i = U X^i U (module docstring),
+    Equivalent to group-averaging rho over the stabilizer group, and preserves
+    every stabilizer expectation value.  With S_i = U X^i U (module docstring),
 
         c[i] = Re sum_k sigma[k^i, k],    sigma = rho o u u^T,
 
-    one gather over all (i, k) pairs.  The sum runs in the dtype of rho, so
-    c[i] equals ``stabilizer.expectation_value`` of S_i bit for bit.  The real
+    one gather over all (i, k) pairs, summed in the dtype of rho.  The real
     part is tr(rho S_i) only for Hermitian rho, so this requires unit trace
     and max|rho - rho^dagger| <= 1e-9, and raises ValueError past the latter.
     """
@@ -173,33 +167,3 @@ def twirl(rho: np.ndarray, graph: GraphSpec) -> CoeffVector:
     sigma = rho * np.outer(u, u)
     return CoeffVector(graph.n, sigma[k[:, None] ^ k, k].sum(axis=1).real)
 
-
-def twirl_average(rho: np.ndarray, graph: GraphSpec) -> np.ndarray:
-    """The twirled state computed as the literal group average 2^{-n} sum S rho S.
-
-    Reference path used to cross-validate :func:`twirl`; quadratically more
-    work, so not the production route.
-    """
-    _check_dense_input(rho, graph, "twirl average")
-    acc = np.zeros_like(rho, dtype=complex)
-    for s in _stabilizer_group(graph):
-        m = dense_matrix(s)
-        acc += m @ rho @ m
-    return acc / (1 << graph.n)
-
-
-def assemble_dense(c: CoeffVector, graph: GraphSpec) -> np.ndarray:
-    """Dense 2^{-n} sum_i c[i] S_i; Hermitian with unit trace when c[0] = 1."""
-    if graph.n != c.n:
-        raise ValueError("graph and coefficient vector disagree on qubit count")
-    if graph.n > DENSE_CAP:
-        raise DenseCapExceeded(graph.n, DENSE_CAP, "dense assembly")
-    dim = 1 << graph.n
-    k = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, s in enumerate(_stabilizer_group(graph)):
-        # each group element is a signed permutation: one entry per column
-        signs = 1 - 2 * (np.bitwise_count(k & np.int64(s.z_mask)).astype(np.int64) & 1)
-        coeff = s.phase * (1j) ** (s.x_mask & s.z_mask).bit_count()
-        out[k ^ s.x_mask, k] += (c[i] * coeff / dim) * signs
-    return out

@@ -82,13 +82,13 @@ def random_density_matrix(rng, dim: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def kron_stabilizer_coefficients(rho: np.ndarray, graph: GraphSpec) -> np.ndarray:
-    """tr(rho S_i) for every group element, from dense np.kron generator matrices.
+def kron_group(graph: GraphSpec) -> list[np.ndarray]:
+    """The 2^n stabilizer group elements S_i as dense matrices built with np.kron.
 
     Generator k is X on vertex k and Z on each neighbor, with qubit 0 the
     rightmost Kronecker factor (the fastest-varying index bit); S_i is the
     product of the generators picked by the bits of i.  No CZ sign and no
-    package Pauli algebra enters.
+    package code enters: this is the test suite's definition of the group.
     """
     x, z, eye = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]), np.eye(2)
     gens = []
@@ -98,14 +98,24 @@ def kron_stabilizer_coefficients(rho: np.ndarray, graph: GraphSpec) -> np.ndarra
         for j in range(graph.n):
             m = np.kron(x if j == k else z if j in neighbors else eye, m)
         gens.append(m)
-    coeffs = []
+    group = []
     for i in range(1 << graph.n):
         s = np.eye(1 << graph.n)
         for k in range(graph.n):
             if (i >> k) & 1:
                 s = s @ gens[k]
-        coeffs.append(np.trace(rho @ s).real)
-    return np.array(coeffs)
+        group.append(s)
+    return group
+
+
+def kron_stabilizer_coefficients(rho: np.ndarray, graph: GraphSpec) -> np.ndarray:
+    """tr(rho S_i) for every group element of :func:`kron_group`."""
+    return np.array([np.trace(rho @ s).real for s in kron_group(graph)])
+
+
+def kron_assemble(c, graph: GraphSpec) -> np.ndarray:
+    """The dense state 2^{-n} sum_i c[i] S_i over :func:`kron_group`."""
+    return sum(ci * s for ci, s in zip(c, kron_group(graph))) / (1 << graph.n)
 
 
 def random_physical_coeffs(rng, n: int) -> np.ndarray:

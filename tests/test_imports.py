@@ -48,6 +48,13 @@ class TestLazyExports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_stabilizer_module_loads_no_other_module_and_no_numpy(self):
+        # estimate imports GraphSpec from here, so no dense helper may live here
+        loaded = "sorted(m for m in sys.modules if 'numpy' in m or m.startswith('stabpurity'))"
+        proc = _python("-c", f"import sys, stabpurity.stabilizer; print({loaded})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['stabpurity', 'stabpurity.stabilizer']"
+
 
 class TestNoNumpy:
     @pytest.mark.parametrize(
