@@ -8,7 +8,7 @@ class StabPurityError(Exception):
 class DenseCapExceeded(StabPurityError):
     """Raised when an operation would materialize a 2^n-sized object above the cap."""
 
-    def __init__(self, n: int, cap: int, what: str = "dense realization"):
+    def __init__(self, n: int, cap: int, what: str):
         self.n = n
         self.cap = cap
         super().__init__(f"{what} requires n <= {cap}, got n = {n}")
