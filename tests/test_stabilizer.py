@@ -63,24 +63,64 @@ class TestGraphSpec:
         assert GraphSpec.from_edges(3.0, [(True, 2.0)]).edges == {(1, 2)}  # callers in the program
 
 
-class TestKronReference:
+def generators(graph: GraphSpec) -> list[np.ndarray]:
+    """Generator K_k of :func:`kron_group` is the element with only bit k set."""
+    return [kron_group(graph)[1 << k] for k in range(graph.n)]
+
+
+class TestGenerators:
     """``kron_group`` is the test suite's only definition of the stabilizer group.
 
-    Its entries are 0 and +-1, so every product below is exact.
+    Its entries are 0 and +-1, so every product below is exact.  Qubit 0 is the
+    rightmost Kronecker factor.
     """
 
-    def test_two_qubit_path_elements(self):
-        group = kron_group(PATH2)
-        np.testing.assert_array_equal(group[0b01], np.kron(Z, X))  # qubit 0 is the rightmost factor
-        np.testing.assert_array_equal(group[0b11], np.kron(Y, Y))
+    def test_two_qubit_path(self):
+        k0, k1 = generators(PATH2)
+        np.testing.assert_array_equal(k0, np.kron(Z, X))
+        np.testing.assert_array_equal(k1, np.kron(X, Z))
 
-    def test_group_laws_on_random_graphs(self):
+    def test_single_vertex(self):
+        (k0,) = generators(GraphSpec(1))
+        np.testing.assert_array_equal(k0, X)
+
+    def test_three_qubit_path(self):
+        k0, k1, k2 = generators(GraphSpec.preset("path-3"))
+        np.testing.assert_array_equal(k0, np.kron(np.kron(np.eye(2), Z), X))
+        np.testing.assert_array_equal(k1, np.kron(np.kron(Z, X), Z))
+        np.testing.assert_array_equal(k2, np.kron(np.kron(X, Z), np.eye(2)))
+
+    def test_all_pairs_commute_random_graphs(self):
         rng = np.random.default_rng(11)
         for n in range(1, 6):
             for _ in range(2):
                 group = kron_group(random_graph(rng, n))
-                for i, si in enumerate(group):
-                    np.testing.assert_array_equal(si @ si, np.eye(1 << n))
-                    for j, sj in enumerate(group):
+                for si in group:
+                    for sj in group:
                         np.testing.assert_array_equal(si @ sj, sj @ si)
-                        assert np.trace(si @ sj) == ((1 << n) if i == j else 0)
+
+
+class TestStabilizerElement:
+    def test_two_path_full_index_is_yy(self):
+        np.testing.assert_array_equal(kron_group(PATH2)[0b11], np.kron(Y, Y))
+
+    def test_zero_index_is_identity(self):
+        for graph in (PATH2, GraphSpec.preset("star-4")):
+            np.testing.assert_array_equal(kron_group(graph)[0], np.eye(1 << graph.n))
+
+    def test_single_vertex(self):
+        np.testing.assert_array_equal(kron_group(GraphSpec(1))[1], X)
+
+    def test_elements_square_to_identity(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 3, 5):
+            for s in kron_group(random_graph(rng, n)):
+                np.testing.assert_array_equal(s @ s, np.eye(1 << n))
+
+    def test_trace_orthogonality(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 4):
+            group = kron_group(random_graph(rng, n))
+            for i, si in enumerate(group):
+                for j, sj in enumerate(group):
+                    assert np.trace(si @ sj) == ((1 << n) if i == j else 0)
