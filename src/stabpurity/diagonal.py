@@ -14,8 +14,6 @@ Briegel, PRA 69, 062311, 2004).  The graph state is U|+>^n with
 U = prod_{(a,b) in E} CZ_ab, diagonal with u_k = (-1)^{#edges inside k}, and
 U X_a U = K_a, so every group element is S_i = U X^i U: a real signed
 permutation, and tr(rho S_i) = sum_k u_k u_{k^i} rho[k^i, k] for Hermitian rho.
-
-Entropy uses the natural logarithm throughout the package.
 """
 
 from __future__ import annotations
@@ -24,11 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenseCapExceeded, NonPhysicalSpectrum, NonUnitTrace
+from .errors import DenseCapExceeded, NonUnitTrace
 from .stabilizer import DENSE_CAP, GraphSpec
-
-#: Entropy clamps eigenvalues in [-SPECTRUM_FLOOR, 0) to zero and rejects below.
-SPECTRUM_FLOOR = 1e-9
 
 
 def _frozen(values) -> np.ndarray:
@@ -57,9 +52,6 @@ class CoeffVector:
         if abs(self.values[0] - 1.0) > 1e-9:
             raise ValueError(f"c[0] must be 1 (unit trace), got {self.values[0]!r}")
 
-    def __getitem__(self, i: int) -> float:
-        return float(self.values[i])
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -71,9 +63,6 @@ class Spectrum:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values))
         _check_length(self.n, self.values, "spectrum")
-
-    def __getitem__(self, j: int) -> float:
-        return float(self.values[j])
 
 
 def walsh_hadamard_inplace(a: np.ndarray) -> None:
@@ -116,30 +105,6 @@ def purity(c: CoeffVector) -> float:
     return float(np.dot(c.values, c.values) / c.values.size)
 
 
-def entropy(s: Spectrum) -> float:
-    """Von Neumann entropy -sum lambda ln lambda, with 0 ln 0 = 0.
-
-    Eigenvalues in [-SPECTRUM_FLOOR, 0) are treated as exact zeros; anything
-    below raises NonPhysicalSpectrum.
-    """
-    lam = s.values
-    worst = lam.min()
-    if worst < -SPECTRUM_FLOOR:
-        raise NonPhysicalSpectrum(
-            f"eigenvalue {worst!r} below -{SPECTRUM_FLOOR:g}; not a density-operator spectrum"
-        )
-    pos = lam[lam > 0.0]
-    return float(-np.dot(pos, np.log(pos)))
-
-
-def _check_dense_input(rho: np.ndarray, graph: GraphSpec, what: str) -> None:
-    if graph.n > DENSE_CAP:
-        raise DenseCapExceeded(graph.n, DENSE_CAP, what)
-    dim = 1 << graph.n
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim} x {dim} matrix, got {rho.shape}")
-
-
 def twirl(rho: np.ndarray, graph: GraphSpec) -> CoeffVector:
     """Project rho onto stabilizer-diagonal form by reading tr(rho S_i) for all i.
 
@@ -152,14 +117,18 @@ def twirl(rho: np.ndarray, graph: GraphSpec) -> CoeffVector:
     part is tr(rho S_i) only for Hermitian rho, so this requires unit trace
     and max|rho - rho^dagger| <= 1e-9, and raises ValueError past the latter.
     """
-    _check_dense_input(rho, graph, "twirl")
+    if graph.n > DENSE_CAP:
+        raise DenseCapExceeded(graph.n, DENSE_CAP, "twirl")
+    dim = 1 << graph.n
+    if rho.shape != (dim, dim):
+        raise ValueError(f"expected a {dim} x {dim} matrix, got {rho.shape}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-9:
         raise NonUnitTrace(f"trace {tr:.12g} differs from 1 by more than 1e-9")
     skew = float(np.abs(rho - rho.conj().T).max())
     if skew > 1e-9:
         raise ValueError(f"rho is not Hermitian: max|rho - rho^dagger| = {skew:.3g} above 1e-9")
-    k = np.arange(1 << graph.n)
+    k = np.arange(dim)
     inside = np.zeros_like(k)
     for a, b in graph.edges:
         inside += (k >> a) & (k >> b) & 1

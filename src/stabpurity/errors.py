@@ -9,17 +9,11 @@ class DenseCapExceeded(StabPurityError):
     """Raised when an operation would materialize a 2^n-sized object above the cap."""
 
     def __init__(self, n: int, cap: int, what: str):
-        self.n = n
-        self.cap = cap
         super().__init__(f"{what} requires n <= {cap}, got n = {n}")
 
 
 class NonUnitTrace(StabPurityError):
     """Input density matrix does not have unit trace."""
-
-
-class NonPhysicalSpectrum(StabPurityError):
-    """Spectrum has an eigenvalue below the negativity floor."""
 
 
 class InfeasibleRecord(StabPurityError):
@@ -36,20 +30,19 @@ class InfeasibleRecord(StabPurityError):
 
 
 class CertificateInvalid(StabPurityError):
-    """Constructed multipliers fail an optimality condition.
+    """The closed form's inequality multipliers are not all nonnegative.
 
-    Carries the failing condition name, the offending index (a bitmask over
-    generators), the value, and the certificate so callers can still inspect it.
+    Carries the offending index (a bitmask over generators) and the
+    certificate, whose ``min_mu`` is the most negative multiplier, so callers
+    can still inspect it.
     """
 
-    def __init__(self, condition: str, index: int, value: float, certificate=None):
-        self.condition = condition
+    def __init__(self, index: int, certificate):
         self.index = index
-        self.value = value
         self.certificate = certificate
         super().__init__(
-            f"optimality certificate failed: {condition} at index {index:#x} "
-            f"(value = {value:.6g}); the closed-form purity is an upper bound but "
+            f"optimality certificate failed: mu >= 0 at index {index:#x} "
+            f"(value = {certificate.min_mu:.6g}); the closed-form purity is an upper bound but "
             f"may exceed the true minimum for this record"
         )
 
@@ -58,8 +51,6 @@ class NotConverged(StabPurityError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 
     def __init__(self, iterations: int, residual: float):
-        self.iterations = iterations
-        self.residual = residual
         super().__init__(
             f"no convergence after {iterations} iterations (residual {residual:.3g})"
         )

@@ -9,10 +9,9 @@ data is stabilizer-diagonal with coefficients
 whose spectrum consists of lambda_0 = (sum_k a_k - n + 2) / 2, the n values
 (1 - a_k) / 2 at the single-bit indices, and zeros elsewhere.  Everything the
 estimator reports is therefore O(n) work on Python floats, and the optimality
-certificate O(n log n); numpy is imported only by
-:func:`min_purity_coefficients`, which materializes a 2^n vector under the
-dense cap.  That spectrum is derived in one place, :func:`_spectrum`; purity,
-error bars, entropy and certificate all read it from there (through
+certificate O(n log n); no 2^n object is built and numpy is never imported.
+That spectrum is derived in one place, :func:`_spectrum`; purity, error bars,
+entropy and certificate all read it from there (through
 :func:`_feasible_spectrum` where the gate below applies).
 
 Each quantity has one public entrance: p_min, its error bars and the
@@ -40,13 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add, mul, sub
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .errors import CertificateInvalid, DenseCapExceeded, InfeasibleRecord
-from .stabilizer import DENSE_CAP, GraphSpec
-
-if TYPE_CHECKING:  # numpy loads only where the 2^n vector is built
-    from .diagonal import CoeffVector
+from .errors import CertificateInvalid, InfeasibleRecord
+from .stabilizer import GraphSpec
 
 #: Slack on exact arithmetic comparisons (feasibility, optimality boundary).
 _EXACT_TOL = 1e-12
@@ -199,22 +195,6 @@ def closed_form_is_optimal(record: MeasurementRecord) -> bool:
     return _is_optimal(_normalized(record))
 
 
-def min_purity_coefficients(record: MeasurementRecord) -> CoeffVector:
-    """Full 2^n coefficient vector of the least-purity state (n <= DENSE_CAP only)."""
-    import numpy as np
-
-    from .diagonal import CoeffVector
-
-    _feasible_spectrum(_normalized(record))
-    if record.n > DENSE_CAP:
-        raise DenseCapExceeded(record.n, DENSE_CAP, "coefficient vector")
-    c = np.ones(1 << record.n)
-    idx = np.arange(1 << record.n)
-    for k in range(record.n):
-        c += ((idx >> k) & 1) * (record.a[k] - 1.0)
-    return CoeffVector(record.n, c)
-
-
 def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> PurityEstimate:
     """Least purity compatible with the record, with error-bar bounds.
 
@@ -311,7 +291,7 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
     cert = KktCertificate(nu=nu, min_mu=min_mu, valid=_is_optimal(a))
     if not cert.valid:
         index = sum(1 << k for k in order[:m_star])
-        raise CertificateInvalid("mu >= 0", index, min_mu, cert)
+        raise CertificateInvalid(index, cert)
     return cert
 
 

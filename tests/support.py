@@ -3,8 +3,8 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from stabpurity.diagonal import walsh_hadamard_inplace
-from stabpurity.estimator import MeasurementRecord, closed_form_is_optimal, min_purity_coefficients
+from stabpurity.diagonal import Spectrum, coefficients, walsh_hadamard_inplace
+from stabpurity.estimator import MeasurementRecord, closed_form_is_optimal
 from stabpurity.stabilizer import GraphSpec
 
 
@@ -134,7 +134,7 @@ def dense_kkt(record: MeasurementRecord, nu) -> tuple[np.ndarray, float, float]:
     spread onto the zero and single-bit indices, mu = 2 lambda + A nu with A
     the unnormalized sign matrix, and the residuals are
     max |(2/2^n) c - (1/2^n) A mu + nu| (stationarity) and max |mu * lambda|
-    (complementarity), with c the closed-form coefficient vector.
+    (complementarity), with c the coefficient vector of the closed-form lambda.
     Returns (mu, stationarity residual, complementarity residual).
     """
     n, a = record.n, np.asarray(record.a)
@@ -143,7 +143,7 @@ def dense_kkt(record: MeasurementRecord, nu) -> tuple[np.ndarray, float, float]:
     lam = np.zeros(dim)
     lam[0] = (a.sum() - n + 2.0) / 2.0
     lam[single_idx] = (1.0 - a) / 2.0
-    c = min_purity_coefficients(record).values
+    c = coefficients(Spectrum(n, lam)).values
 
     nu_full = np.zeros(dim)
     nu_full[0] = nu[0]

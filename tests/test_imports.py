@@ -1,5 +1,6 @@
 """The package's import graph: a bare package, estimate, exact simulate and
-reproduce-tables without numpy, and no module reaching into another's private names."""
+reproduce-tables without numpy, no module reaching into another's private names,
+and no module importing a name it never reads."""
 
 import ast
 import json
@@ -104,6 +105,18 @@ def test_no_module_imports_another_modules_private_name():
                     if alias.name.startswith("stabpurity") and any(map(_private, alias.name.split(".")))
                 ]
     assert offences == []
+
+
+def test_no_module_imports_an_unused_name():
+    unused = []
+    for path in sorted(Path(stabpurity.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []
 
 
 def test_readme_library_example_runs():
