@@ -4,9 +4,10 @@ Everything here trades efficiency for independence: the quadratic program is
 solved by accelerated alternating projections in the full 2^n eigenvalue
 space, the maximum-entropy problem by one-dimensional root finding, and the
 dephasing channel by Runge-Kutta integration of the dense density matrix's
-master equation, one scalar float run per distinct (|initial entry|, rate)
-pair with the sign of the initial entry restored exactly.  None of
-these paths share formulas with the estimator module they are used to check.
+master equation, one scalar float run per Hamming distance between the
+entry's row and column with the sign of the initial entry restored exactly.
+None of these paths share formulas with the estimator module they are used
+to check.
 
 The purity QP is run in the eigenvalue basis, where positivity is the
 nonnegative orthant and each measured expectation is a single-bit parity sum:
@@ -230,8 +231,9 @@ def max_entropy_numeric(record: MeasurementRecord) -> tuple[np.ndarray, float]:
             p_zero = 1.0  # expectation pinned: that bit is deterministically 0
         else:
             p_zero = 1.0 / (1.0 + math.exp(-2.0 * _solve_tanh(float(ak))))
-        # bit k of the eigenvector index must vary fastest for lower k
-        lam = np.kron(np.array([p_zero, 1.0 - p_zero]), lam)
+        # bit k of the eigenvector index must vary fastest for lower k: the
+        # Kronecker product [p_zero, 1 - p_zero] (x) lam, same products
+        lam = (np.array([[p_zero], [1.0 - p_zero]]) * lam).ravel()
     pos = lam[lam > 0.0]
     return lam, float(-np.dot(pos, np.log(pos)))
 
@@ -249,32 +251,21 @@ def graph_state_vector(graph: GraphSpec) -> np.ndarray:
     return psi.astype(complex)
 
 
-def _dephasing_rate(n: int, gamma: float) -> np.ndarray:
-    """Rate matrix R with (gamma/2) sum_i (Z_i rho Z_i - rho) = R o rho (elementwise).
+def _rk4_run(rho, rate, dt: float, steps: int):
+    """``steps`` classic RK4 steps of drho/dt = rate * rho (elementwise).
 
-    Z_i is diagonal with +-1 entries z_i, so Z_i rho Z_i = (z_i z_i^T) o rho and
-    R = (gamma/2) sum_i (z_i z_i^T - 1): real, symmetric, zero on the diagonal.
-    """
-    k = np.arange(1 << n)
-    rate = np.zeros((1 << n, 1 << n))
-    for i in range(n):
-        z = 1.0 - 2.0 * ((k >> i) & 1)
-        rate += np.outer(z, z) - 1.0
-    return (gamma / 2.0) * rate
-
-
-def _rk4_step(rho, rate, dt: float):
-    """One classic RK4 step of drho/dt = rate * rho (elementwise).
-
-    ``master_equation_evolve`` calls it on Python floats, one (|rho_0|, rate)
-    pair at a time; the tests call it on dense 2^n x 2^n arrays as the
+    ``master_equation_evolve`` calls it on Python floats, one Hamming
+    distance at a time; the tests call it on dense 2^n x 2^n arrays as the
     reference.  Both run the same IEEE double operations in the same order.
     """
-    k1 = rate * rho
-    k2 = rate * (rho + 0.5 * dt * k1)
-    k3 = rate * (rho + 0.5 * dt * k2)
-    k4 = rate * (rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half, sixth = 0.5 * dt, dt / 6.0
+    for _ in range(steps):
+        k1 = rate * rho
+        k2 = rate * (rho + half * k1)
+        k3 = rate * (rho + half * k2)
+        k4 = rate * (rho + dt * k3)
+        rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
 
 
 def master_equation_evolve(
@@ -283,30 +274,31 @@ def master_equation_evolve(
     """Integrate drho/dt = (gamma/2) sum_i (Z_i rho Z_i - rho) from the pure graph state.
 
     Classic fourth-order Runge-Kutta with fixed step, at least 1000 steps per
-    unit of gamma*t (the default honors that floor).  The right-hand side is
-    the elementwise product with the rate matrix of :func:`_dephasing_rate`.
-    That matrix is real symmetric with a zero diagonal and the initial state
-    is real symmetric, so every iterate is exactly Hermitian and keeps its
-    diagonal, hence its trace, exactly; no symmetrization is needed.  Since
-    everything is real, the integration runs in real arithmetic, which gives
-    the real parts complex arithmetic would, bit for bit; the result is
-    returned as a complex matrix.
+    unit of gamma*t (the default honors that floor).  Z_i is diagonal with
+    +-1 entries, so Z_i rho Z_i - rho is -2 rho where bit i of the row and
+    column index differ and 0 elsewhere: the right-hand side is the
+    elementwise product R o rho with R_jk = (gamma/2) * (-2 d), d = the
+    Hamming distance popcount(j ^ k).  R is real symmetric with a zero
+    diagonal and the initial state is real symmetric, so every iterate is
+    exactly Hermitian and keeps its diagonal, hence its trace, exactly; no
+    symmetrization is needed.  Since everything is real, the integration runs
+    in real arithmetic, which gives the real parts complex arithmetic would,
+    bit for bit; the result is returned as a complex matrix.
 
-    Because the step is elementwise, each entry evolves on its own.  The
-    integration therefore runs once per distinct (|rho_0|, R) pair, found by
-    ``np.unique`` on the matrices themselves, as a plain Python ``float`` run
-    through :func:`_rk4_step`, and is scattered back to the 2^n x 2^n matrix
-    at the end with the sign of rho_0.  That is the same matrix as stepping
-    every entry as an array, bit for bit: a numpy elementwise operation and
-    the Python float operation are each one correctly rounded IEEE double
-    operation, done in the same order; round-to-nearest is odd-symmetric, so
-    the run from -|rho_0| is exactly the negation of the run from |rho_0|;
-    and multiplying by +-1.0 is exact.  A graph state has a single |rho_0|
-    (2^-n up to rounding) and R takes the n + 1 values -gamma*d, d = 0..n
-    the Hamming distance, so there are n + 1 runs against 4^n entries.
-    The key holds |rho_0| >= +0.0 and R, which is +0.0 on the diagonal and
-    negative elsewhere, so no -0.0 enters it and ``np.unique`` never has to
-    merge signed zeros.
+    Because the step is elementwise, each entry evolves on its own.  Every
+    amplitude of the CZ-circuit state is the same float 2^(-n/2) up to an
+    exact sign, so every entry of rho_0 is +-|psi_0|^2, and the entry's rate
+    depends on d alone.  The integration therefore runs once per d = 0..n,
+    as a plain Python ``float`` run of :func:`_rk4_run` from |psi_0|^2, and
+    the n + 1 ends are scattered back to the 2^n x 2^n matrix by d, each
+    with the sign of rho_0.  That is the same matrix as stepping every entry
+    as an array, bit for bit: a numpy elementwise operation and the Python
+    float operation are each one correctly rounded IEEE double operation,
+    done in the same order; round-to-nearest is odd-symmetric, so the run
+    from -|rho_0| is exactly the negation of the run from |rho_0|; and
+    multiplying by +-1.0 is exact.  The rate is formed as (gamma/2) times
+    the float -2d, which is +0.0 at d = 0 like the dense sum of
+    z_i z_i^T - 1 terms.
 
     gamma*t is capped at ``MAX_GAMMA_T`` = 30, which bounds the default step
     count by 30,000.  Past gamma*t = ln(1e8) ~ 18.4 every off-diagonal
@@ -334,16 +326,10 @@ def master_equation_evolve(
     psi = graph_state_vector(graph).real
     rho = np.outer(psi, psi)
     if gt != 0.0:
-        key = np.abs(rho).astype(complex)
-        key.imag = _dephasing_rate(graph.n, gamma)
-        pairs, inverse = np.unique(key.ravel(), return_inverse=True)
-        dt = t / steps
-        ends = []
-        for x, rate in zip(pairs.real.tolist(), pairs.imag.tolist()):
-            for _ in range(steps):
-                x = _rk4_step(x, rate, dt)
-            ends.append(x)
-        rho = np.where(rho < 0.0, -1.0, 1.0) * np.array(ends)[inverse].reshape(rho.shape)
+        x, dt = float(abs(psi[0])) * float(abs(psi[0])), t / steps
+        ends = np.array([_rk4_run(x, (gamma / 2.0) * float(-2 * d), dt, steps) for d in range(graph.n + 1)])
+        k = np.arange(1 << graph.n)
+        rho = np.where(rho < 0.0, -1.0, 1.0) * ends[np.bitwise_count(k[:, None] ^ k)]
     return rho.astype(complex)
 
 

@@ -82,6 +82,22 @@ def random_density_matrix(rng, dim: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+def dense_dephasing_rate(n: int, gamma: float) -> np.ndarray:
+    """Rate matrix R with (gamma/2) sum_i (Z_i rho Z_i - rho) = R o rho (elementwise).
+
+    The dense reference for ``oracle.master_equation_evolve``, which forms
+    the entries as -gamma * popcount(j ^ k) instead.  Z_i is diagonal with
+    +-1 entries z_i, so Z_i rho Z_i = (z_i z_i^T) o rho and
+    R = (gamma/2) sum_i (z_i z_i^T - 1): real, symmetric, zero on the diagonal.
+    """
+    k = np.arange(1 << n)
+    rate = np.zeros((1 << n, 1 << n))
+    for i in range(n):
+        z = 1.0 - 2.0 * ((k >> i) & 1)
+        rate += np.outer(z, z) - 1.0
+    return (gamma / 2.0) * rate
+
+
 def kron_group(graph: GraphSpec) -> list[np.ndarray]:
     """The 2^n stabilizer group elements S_i as dense matrices built with np.kron.
 

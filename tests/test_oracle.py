@@ -18,9 +18,9 @@ from stabpurity.oracle import (
     _TOL,
     MAX_GAMMA_T,
     TOLERANCES,
-    _dephasing_rate,
     _polish,
-    _rk4_step,
+    _rk4_run,
+    _solve_tanh,
     _sign_matrix,
     graph_state_vector,
     master_equation_evolve,
@@ -29,7 +29,15 @@ from stabpurity.oracle import (
     run_oracle_trials,
 )
 from stabpurity.stabilizer import DENSE_CAP, GraphSpec
-from support import kron_assemble, kron_stabilizer_coefficients, optimal_record, random_graph, suboptimal_record
+from support import (
+    dense_dephasing_rate,
+    feasible_record,
+    kron_assemble,
+    kron_stabilizer_coefficients,
+    optimal_record,
+    random_graph,
+    suboptimal_record,
+)
 
 A01 = math.exp(-0.1)
 
@@ -277,6 +285,19 @@ class TestMaxEntropy:
             signs = 1.0 - 2.0 * ((idx >> k) & 1)
             assert abs(np.dot(signs, lam) - rec.a[k]) < 1e-9
 
+    @pytest.mark.parametrize("n", range(1, DENSE_CAP + 1))
+    def test_spectrum_is_the_kron_product(self, n):
+        # bit k of the index is generator k's bit, qubit 0 the rightmost factor
+        rng = np.random.default_rng(5600 + n)
+        pinned = np.array(feasible_record(rng, n).a)
+        pinned[::2], pinned[1::3] = 1.0, 0.0
+        for rec in (optimal_record(rng, n), feasible_record(rng, n), MeasurementRecord(n, pinned)):
+            expected = np.array([1.0])
+            for ak in rec.a:
+                p_zero = 1.0 if ak >= 1.0 else 1.0 / (1.0 + math.exp(-2.0 * _solve_tanh(ak)))
+                expected = np.kron(np.array([p_zero, 1.0 - p_zero]), expected)
+            assert np.array_equal(max_entropy_numeric(rec)[0], expected)
+
     def test_cap(self):
         with pytest.raises(DenseCapExceeded):
             max_entropy_numeric(MeasurementRecord(DENSE_CAP + 1, np.full(DENSE_CAP + 1, 0.9)))
@@ -325,10 +346,10 @@ class TestIntegrator:
         g = GraphSpec.preset("ring-3")
         psi = graph_state_vector(g)
         rho = np.outer(psi, psi.conj())
-        rate = _dephasing_rate(3, 1.0)
+        rate = dense_dephasing_rate(3, 1.0)
         dt = 0.3 / 300
         for _ in range(300):
-            rho = _rk4_step(rho, rate, dt)
+            rho = _rk4_run(rho, rate, dt, 1)
             assert np.array_equal(rho, rho.conj().T)
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(rho).min() >= -1e-10
@@ -344,32 +365,32 @@ class TestIntegrator:
         for i in range(n):
             z_i = np.kron(np.kron(np.eye(1 << (n - 1 - i)), z), np.eye(1 << i))
             dense += z_i @ rho @ z_i - rho
-        np.testing.assert_allclose(_dephasing_rate(n, gamma) * rho, (gamma / 2) * dense, atol=1e-12)
+        np.testing.assert_allclose(dense_dephasing_rate(n, gamma) * rho, (gamma / 2) * dense, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "name, gamma, gamma_ts",
-        [pytest.param(name, 1.0, (0.1, 0.5, 2.0), id=name) for name in ("path-1", "path-4", "ring-6", "star-6")]
-        + [pytest.param("star-8", 1.0, (0.1, 0.5), id="star-8")]
+        "name, gamma, gamma_ts, steps",
+        [pytest.param(name, 1.0, (0.1, 0.5, 2.0), None, id=name) for name in ("path-1", "path-4", "ring-6", "star-6")]
+        + [pytest.param("star-8", 1.0, (0.1, 0.5), None, id="star-8")]
         + [
-            pytest.param(name, 0.37, (0.1, 0.5), id=f"{name}-gamma0.37")
+            pytest.param(name, 0.37, (0.1, 0.5), None, id=f"{name}-gamma0.37")
             for name in ("path-1", "path-4", "ring-6", "star-6")
-        ],
+        ]
+        # the dense cap, where the steps are kept few for the dense loop's sake
+        + [pytest.param(name, 1.0, (0.01,), 10, id=name) for name in ("path-10", "star-10")],
     )
-    def test_real_arithmetic_is_bit_identical(self, name, gamma, gamma_ts):
+    def test_real_arithmetic_is_bit_identical(self, name, gamma, gamma_ts, steps):
         # the dense 2^n x 2^n loop below is the whole integration, step by step:
         # it pins both the real arithmetic (rho_0 and the rate are real, so
         # complex arithmetic only carries zeros) and the one-float-run-per-
-        # (|rho_0|, rate)-pair reduction with its sign restore
+        # Hamming-distance reduction with its sign restore
         g = GraphSpec.preset(name)
         psi = graph_state_vector(g)
-        rate = _dephasing_rate(g.n, gamma)
+        rate = dense_dephasing_rate(g.n, gamma)
         for gt in gamma_ts:
             t = gt / gamma
-            rho = np.outer(psi, psi.conj())
-            steps = max(100, math.ceil(1000.0 * (gamma * t)))
-            for _ in range(steps):
-                rho = _rk4_step(rho, rate, t / steps)
-            evolved = master_equation_evolve(g, gamma=gamma, t=t)
+            n_steps = steps or max(100, math.ceil(1000.0 * (gamma * t)))
+            rho = _rk4_run(np.outer(psi, psi.conj()), rate, t / n_steps, n_steps)
+            evolved = master_equation_evolve(g, gamma=gamma, t=t, steps=steps)
             assert evolved.dtype == rho.dtype
             assert np.array_equal(evolved, rho)
 
@@ -378,18 +399,18 @@ class TestIntegrator:
         # a graph state has one |rho_0| and n + 1 rates, so n + 1 scalar runs
         calls = []
 
-        def counted(x, rate, dt):
-            calls.append((type(x), type(rate), type(dt)))
-            return _rk4_step(x, rate, dt)
+        def counted(x, rate, dt, steps):
+            calls.append((type(x), type(rate), type(dt), steps))
+            return _rk4_run(x, rate, dt, steps)
 
-        monkeypatch.setattr(oracle, "_rk4_step", counted)
+        monkeypatch.setattr(oracle, "_rk4_run", counted)
         for kind in ("path", "ring", "star"):
             for gamma, t, steps in ((1.0, 0.1, None), (0.37, 0.5, 250)):
                 calls.clear()
                 master_equation_evolve(GraphSpec.preset(f"{kind}-{n}"), gamma, t, steps)
                 expected_steps = steps or max(100, math.ceil(1000.0 * gamma * t))
-                assert len(calls) == (n + 1) * expected_steps
-                assert set(calls) == {(float, float, float)}
+                assert len(calls) == n + 1
+                assert set(calls) == {(float, float, float, expected_steps)}
 
     def test_rejects_overflowing_rates(self):
         # gamma*t is small but the rates or the RK4 sum overflow; both once gave nan entries
