@@ -60,10 +60,21 @@ and accepts lambda only if, each to ``_CERT_TOL`` = 1e-12,
 
 Stationarity and complementarity hold by construction, so these three are
 the whole KKT system of the QP: the answer is certified from B and b only,
-and the certificate does not depend on how the sweep reached S.  A singular
-system (some a_k exactly 0 or 1 pins a bit on the support) or a failed check
-means another ``_CHECK_EVERY`` sweeps; the residual test above stays the
-fallback.
+and the certificate does not depend on how the sweep reached S.  A rejected
+solve names another support, its own S' = {j : (B^T nu_S)_j >= 0}, and the
+check re-solves there: the step iterated as a primal-dual active set method
+(Hintermueller, Ito & Kunisch, SIAM J. Optim. 13(3), 2002).  A score of
+exactly 0 stays in S', so that ties do not cycle: on the mixed 2-qubit record
+S = {0, 1, 2} solves to (0, 1/2, 1/2, 0) with score 1 at j = 3, and S' is
+the whole optimum support, where {j : score > 0} = {1, 2, 3} would solve back
+to {0, 1, 2}.  The support the sweep has after 10 sweeps is only a few such
+steps from the optimum's.  The
+re-solves end at the first certified spectrum, or when S' = S, when a system
+is singular (an a_k of exactly 1 keeps the support on one value of bit k,
+which repeats a row of B_S), or after n + 1 solves, the dual dimension; then
+another ``_CHECK_EVERY`` sweeps run, and the residual test above stays the
+fallback.  A certified lambda depends on its support alone, so the number of
+sweeps and solves that found the support does not change a bit of it.
 
 Cross-check.  ``instance_gap`` scores one instance of a check kind (``qp``,
 ``entropy`` or ``integrator``) as the deviation of the closed form from its
@@ -128,9 +139,10 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
 
     Deterministic: the restarts are decided by the iterates alone, so
     identical inputs give identical iterates.  ``iterations`` counts the
-    accelerated sweeps run until a spectrum was returned: the first certified
-    polish, or else the residual test, after which the spectrum is normalized
-    to exact unit mass.  ``kkt_residual`` is ||B lambda - b||_inf of the
+    accelerated sweeps run until a spectrum was returned, a multiple of
+    ``_CHECK_EVERY``; the support solves of a check are not counted.  The
+    spectrum is the first certified polish, or else passed the residual test
+    and was normalized to exact unit mass.  ``kkt_residual`` is ||B lambda - b||_inf of the
     returned spectrum; it is at most ``_CERT_TOL`` whenever the polish
     certified it.  The constraint set is never empty on [0, 1]^n: the product
     spectrum prod_k (1 +- a_k)/2 satisfies it.  The residual test passes once
@@ -159,7 +171,7 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
             nu, t = nxt, t_next
         iterations += _CHECK_EVERY
         scores = rows.T @ nu
-        x = _polish(rows, b, scores > 0.0)
+        x = _certify(rows, b, scores > 0.0)
         if x is None:
             x = np.maximum(scores, 0.0)
             residual = float(np.abs(rows @ x - b).max())
@@ -171,13 +183,28 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     raise NotConverged(iterations, residual)
 
 
-def _polish(rows: np.ndarray, b: np.ndarray, support: np.ndarray) -> np.ndarray | None:
-    """The spectrum solved exactly on ``support`` if it meets the KKT system, else None."""
+def _certify(rows: np.ndarray, b: np.ndarray, support: np.ndarray) -> np.ndarray | None:
+    """The first spectrum ``_polish`` certifies on ``support`` or, in turn, on the
+    support of each rejected solve; None at a support that solves to itself, a
+    singular system or after n + 1 solves."""
+    for _ in range(len(b)):
+        x, scores = _polish(rows, b, support)
+        if x is not None or scores is None or np.array_equal(scores >= 0.0, support):
+            return x
+        support = scores >= 0.0
+    return None
+
+
+def _polish(
+    rows: np.ndarray, b: np.ndarray, support: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The exact solve on ``support``: its spectrum if that meets the KKT system
+    (else None), and its scores B^T nu_S; both None if the system is singular."""
     sub = rows[:, support]
     try:
         nu = np.linalg.solve(sub @ sub.T, b)
     except np.linalg.LinAlgError:
-        return None
+        return None, None
     scores = rows.T @ nu
     x = np.where(support, scores, 0.0)
     if (
@@ -185,8 +212,8 @@ def _polish(rows: np.ndarray, b: np.ndarray, support: np.ndarray) -> np.ndarray 
         and np.where(support, 0.0, scores).max() <= _CERT_TOL
         and np.abs(rows @ x - b).max() <= _CERT_TOL
     ):
-        return x
-    return None
+        return x, scores
+    return None, scores
 
 
 def _require_unit_interval(a) -> None:

@@ -75,6 +75,16 @@ def suboptimal_record(rng, n: int) -> MeasurementRecord:
             return record
 
 
+def infeasible_record(rng, n: int) -> MeasurementRecord:
+    """Record with a in [0, 1]^n and sum(a) < n - 2 (n >= 3): outside the
+    closed form's feasibility gate, but the QP's constraint set is not empty."""
+    assert n >= 3
+    while True:
+        a = rng.uniform(0.0, 1.0, size=n)
+        if a.sum() < n - 2:
+            return MeasurementRecord(n, a)
+
+
 def random_density_matrix(rng, dim: int) -> np.ndarray:
     """Haar-ish random full-rank density matrix."""
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -18,6 +18,7 @@ from stabpurity.oracle import (
     _TOL,
     MAX_GAMMA_T,
     TOLERANCES,
+    _certify,
     _polish,
     _rk4_run,
     _solve_tanh,
@@ -32,6 +33,7 @@ from stabpurity.stabilizer import DENSE_CAP, GraphSpec
 from support import (
     dense_dephasing_rate,
     feasible_record,
+    infeasible_record,
     kron_assemble,
     kron_stabilizer_coefficients,
     optimal_record,
@@ -133,7 +135,7 @@ class TestQp:
         rng = np.random.default_rng(60 + n)
         records = [optimal_record(rng, n)] + ([suboptimal_record(rng, n)] if n >= 2 else [])
         certified = [qp_min_purity(rec).lambda_star for rec in records]
-        monkeypatch.setattr(oracle, "_polish", lambda *args: None)
+        monkeypatch.setattr(oracle, "_certify", lambda *args: None)
         for rec, exact in zip(records, certified):
             sol = qp_min_purity(rec)
             assert sol.iterations <= 2000
@@ -152,14 +154,14 @@ class TestQp:
         records = [np.ones(n), np.zeros(n), ones[0], ones[-1]] + [
             rng.integers(0, 2, size=n).astype(float) for _ in range(4)
         ]
-        polish, accepted = oracle._polish, []
+        certify, accepted = oracle._certify, []
 
         def spy(*args):
-            x = polish(*args)
+            x = certify(*args)
             accepted.append(x is not None)
             return x
 
-        monkeypatch.setattr(oracle, "_polish", spy)
+        monkeypatch.setattr(oracle, "_certify", spy)
         fallbacks = 0
         for a in records:
             sol = qp_min_purity(MeasurementRecord(n, a))
@@ -168,12 +170,23 @@ class TestQp:
             assert sol.kkt_residual <= _TOL
         assert fallbacks >= 1
 
+    def test_pinned_record_certifies(self):
+        # a_8 = 1 keeps the optimum on bit 8 = 0, yet the support the re-polish
+        # reaches solves to a certified spectrum; Dykstra's residual test answered
+        # this record with ||B lambda - b|| = 1.0e-9 before the re-polish
+        rng = np.random.default_rng(102)
+        a = np.array(feasible_record(rng, 8).a)
+        a[rng.integers(8)] = 1.0
+        sol = qp_min_purity(MeasurementRecord(8, a))
+        assert a.tolist().count(1.0) == 1
+        assert sol.kkt_residual <= 1e-12
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sign-normalized"):
             qp_min_purity(record(-0.5))
 
     def test_not_converged_past_budget(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_polish", lambda *args: None)
+        monkeypatch.setattr(oracle, "_certify", lambda *args: None)
         monkeypatch.setattr(oracle, "_MAX_ITER", 2 * _CHECK_EVERY)
         with pytest.raises(NotConverged):
             qp_min_purity(record(0.9, 0.85, 0.8, 0.95))
@@ -198,23 +211,29 @@ class TestPolish:
 
     def test_true_support_accepted(self):
         rows, b = self.system(0.0, 0.0)
-        np.testing.assert_array_equal(_polish(rows, b, self.support(2, range(4))), np.full(4, 0.25))
+        x, scores = _polish(rows, b, self.support(2, range(4)))
+        np.testing.assert_array_equal(x, np.full(4, 0.25))
+        np.testing.assert_array_equal(scores, np.full(4, 0.25))
 
     def test_negative_spectrum_rejected(self):
         # full support on a domain record: B^T b / 4 has (1 - 0.99 - 0.95) / 4 < 0
         rows, b = self.system(0.99, 0.95)
         assert closed_form_is_optimal(MeasurementRecord(2, (0.99, 0.95)))
-        assert _polish(rows, b, self.support(2, range(4))) is None
+        x, scores = _polish(rows, b, self.support(2, range(4)))
+        assert x is None
+        assert scores[3] < 0.0
 
     def test_positive_score_off_support_rejected(self):
         # on the mixed record, {0, 1, 2} gives the spectrum (0, 1/2, 1/2, 0): nonnegative
         # and feasible, but (B^T nu)_3 = 1 > 0, so it is not the optimum (1/4 each)
         rows, b = self.system(0.0, 0.0)
-        assert _polish(rows, b, self.support(2, [0, 1, 2])) is None
+        x, scores = _polish(rows, b, self.support(2, [0, 1, 2]))
+        assert x is None
+        np.testing.assert_array_equal(scores, [0.0, 0.5, 0.5, 1.0])
 
     def test_singular_support_rejected(self):
         rows, b = self.system(0.0, 0.0, 0.0)
-        assert _polish(rows, b, self.support(3, [0])) is None
+        assert _polish(rows, b, self.support(3, [0])) == (None, None)
 
     def test_inexact_solve_fails_residual(self, monkeypatch):
         # the check reads B and b, not the solver: a solve that comes back 10% short
@@ -222,7 +241,42 @@ class TestPolish:
         rows, b = self.system(0.0, 0.0)
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: 0.9 * solve(m, rhs))
-        assert _polish(rows, b, self.support(2, range(4))) is None
+        assert _polish(rows, b, self.support(2, range(4)))[0] is None
+
+    def test_rejected_support_is_corrected(self):
+        # the rejected {0, 1, 2} scores >= 0 everywhere, so the re-polish solves on
+        # all four eigenvalues and certifies the uniform optimum
+        rows, b = self.system(0.0, 0.0)
+        np.testing.assert_array_equal(_certify(rows, b, self.support(2, [0, 1, 2])), np.full(4, 0.25))
+
+    @staticmethod
+    def counted_solves(monkeypatch) -> list:
+        solves = []
+        monkeypatch.setattr(oracle, "_polish", lambda *args: solves.append(args) or _polish(*args))
+        return solves
+
+    def test_re_polish_stops_at_a_singular_or_fixed_support(self, monkeypatch):
+        solves = self.counted_solves(monkeypatch)
+        rows, b = self.system(0.0, 0.0, 0.0)
+        assert _certify(rows, b, self.support(3, [0])) is None
+        assert len(solves) == 1
+        # a solve 10% short scores 0.225 on every eigenvalue: S' = S, so a second
+        # solve would repeat the first
+        solves.clear()
+        rows, b = self.system(0.0, 0.0)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: 0.9 * solve(m, rhs))
+        assert _certify(rows, b, self.support(2, range(4))) is None
+        assert len(solves) == 1
+
+    def test_re_polish_follows_the_rejected_scores(self, monkeypatch):
+        # (0.99, 0.95) on its full support scores negative at j = 3 only, so
+        # S' = {0, 1, 2}, which certifies the closed form
+        solves = self.counted_solves(monkeypatch)
+        rows, b = self.system(0.99, 0.95)
+        x = _certify(rows, b, self.support(2, range(4)))
+        assert len(solves) == 2
+        assert abs(np.dot(x, x) - min_purity(MeasurementRecord(2, (0.99, 0.95))).p_min) <= 1e-15
 
     @pytest.mark.parametrize("n", range(1, DENSE_CAP + 1))
     def test_domain_records_equal_closed_form(self, n):
@@ -232,6 +286,17 @@ class TestPolish:
             sol = qp_min_purity(rec)
             assert sol.kkt_residual <= 1e-12
             assert abs(sol.objective - min_purity(rec).p_min) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, DENSE_CAP + 1))
+    def test_certified_at_first_check(self, n):
+        # the support of the first 10 sweeps is a few re-polishes from the optimum's
+        rng = np.random.default_rng(110 + n)
+        records = [sample(rng, n) for sample in (optimal_record, suboptimal_record) for _ in range(3)]
+        records += [infeasible_record(rng, n) for _ in range(3)] if n >= 3 else []
+        for rec in records:
+            sol = qp_min_purity(rec)
+            assert sol.iterations == _CHECK_EVERY
+            assert sol.kkt_residual <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, DENSE_CAP + 1))
     def test_band_records_below_closed_form(self, n):
