@@ -68,13 +68,13 @@ exactly 0 stays in S', so that ties do not cycle: on the mixed 2-qubit record
 S = {0, 1, 2} solves to (0, 1/2, 1/2, 0) with score 1 at j = 3, and S' is
 the whole optimum support, where {j : score > 0} = {1, 2, 3} would solve back
 to {0, 1, 2}.  The support the sweep has after 10 sweeps is only a few such
-steps from the optimum's.  The
-re-solves end at the first certified spectrum, or when S' = S, when a system
-is singular (an a_k of exactly 1 keeps the support on one value of bit k,
-which repeats a row of B_S), or after n + 1 solves, the dual dimension; then
-another ``_CHECK_EVERY`` sweeps run, and the residual test above stays the
-fallback.  A certified lambda depends on its support alone, so the number of
-sweeps and solves that found the support does not change a bit of it.
+steps from the optimum's.  The re-solves end at the first certified
+spectrum, or when S' = S, when a system is singular (an a_k of exactly 1
+keeps the support on one value of bit k, which repeats a row of B_S), or
+after n + 1 solves, the dual dimension; then another ``_CHECK_EVERY`` sweeps
+run, and the residual test above stays the fallback.  A certified lambda
+depends on its support alone, so the number of sweeps and solves that found
+the support does not change a bit of it.
 
 Cross-check.  ``instance_gap`` scores one instance of a check kind (``qp``,
 ``entropy`` or ``integrator``) as the deviation of the closed form from its
@@ -142,9 +142,9 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     accelerated sweeps run until a spectrum was returned, a multiple of
     ``_CHECK_EVERY``; the support solves of a check are not counted.  The
     spectrum is the first certified polish, or else passed the residual test
-    and was normalized to exact unit mass.  ``kkt_residual`` is ||B lambda - b||_inf of the
-    returned spectrum; it is at most ``_CERT_TOL`` whenever the polish
-    certified it.  The constraint set is never empty on [0, 1]^n: the product
+    and was normalized to exact unit mass.  ``kkt_residual`` is
+    ||B lambda - b||_inf of the returned spectrum; it is at most
+    ``_CERT_TOL`` whenever the polish certified it.  The constraint set is never empty on [0, 1]^n: the product
     spectrum prod_k (1 +- a_k)/2 satisfies it.  The residual test passes once
     ||B lambda - b||_inf is at most ``_TOL``; raises NotConverged past
     ``_MAX_ITER`` sweeps.

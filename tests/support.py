@@ -108,6 +108,22 @@ def dense_dephasing_rate(n: int, gamma: float) -> np.ndarray:
     return (gamma / 2.0) * rate
 
 
+def rk4_reference(rho, rate, dt: float, steps: int):
+    """``steps`` classic fourth-order Runge-Kutta steps of drho/dt = rate o rho.
+
+    The test suite's own integrator, written out apart from ``oracle._rk4_run``:
+    dense runs of it pin the bits of ``master_equation_evolve``, so a change to
+    the oracle's arithmetic (say the order of the k sum) fails them.
+    """
+    for _ in range(steps):
+        k1 = rate * rho
+        k2 = rate * (rho + 0.5 * dt * k1)
+        k3 = rate * (rho + 0.5 * dt * k2)
+        k4 = rate * (rho + dt * k3)
+        rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
+
+
 def kron_group(graph: GraphSpec) -> list[np.ndarray]:
     """The 2^n stabilizer group elements S_i as dense matrices built with np.kron.
 

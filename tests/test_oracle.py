@@ -38,6 +38,7 @@ from support import (
     kron_stabilizer_coefficients,
     optimal_record,
     random_graph,
+    rk4_reference,
     suboptimal_record,
 )
 
@@ -440,21 +441,27 @@ class TestIntegrator:
             pytest.param(name, 0.37, (0.1, 0.5), None, id=f"{name}-gamma0.37")
             for name in ("path-1", "path-4", "ring-6", "star-6")
         ]
+        # dt / 6 and dt * (1 / 6) round apart at these steps
+        + [
+            pytest.param(name, 0.7, (0.07, 0.1, 0.2), None, id=f"{name}-gamma0.7")
+            for name in ("path-4", "ring-6", "star-6")
+        ]
         # the dense cap, where the steps are kept few for the dense loop's sake
         + [pytest.param(name, 1.0, (0.01,), 10, id=name) for name in ("path-10", "star-10")],
     )
     def test_real_arithmetic_is_bit_identical(self, name, gamma, gamma_ts, steps):
-        # the dense 2^n x 2^n loop below is the whole integration, step by step:
-        # it pins both the real arithmetic (rho_0 and the rate are real, so
-        # complex arithmetic only carries zeros) and the one-float-run-per-
-        # Hamming-distance reduction with its sign restore
+        # the test suite's dense 2^n x 2^n RK4 loop is the whole integration,
+        # step by step: it pins the oracle's RK4 arithmetic to the bit, the real
+        # arithmetic (rho_0 and the rate are real, so complex arithmetic only
+        # carries zeros) and the one-float-run-per-Hamming-distance reduction
+        # with its sign restore
         g = GraphSpec.preset(name)
         psi = graph_state_vector(g)
         rate = dense_dephasing_rate(g.n, gamma)
         for gt in gamma_ts:
             t = gt / gamma
             n_steps = steps or max(100, math.ceil(1000.0 * (gamma * t)))
-            rho = _rk4_run(np.outer(psi, psi.conj()), rate, t / n_steps, n_steps)
+            rho = rk4_reference(np.outer(psi, psi.conj()), rate, t / n_steps, n_steps)
             evolved = master_equation_evolve(g, gamma=gamma, t=t, steps=steps)
             assert evolved.dtype == rho.dtype
             assert np.array_equal(evolved, rho)
