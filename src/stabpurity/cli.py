@@ -8,9 +8,10 @@ Commands:
     reproduce-tables  closed-form summary table for dephased path graphs
     oracle-check      cross-check closed forms against the numeric solvers
 
-Exit codes: 0 success, 1 malformed input, invalid graph, out-of-range option
-or unwritable output file, 2 infeasible record, 3 tolerance breach in a check
-command.
+Exit codes: 0 success, also after --help or --version; 1 malformed input,
+invalid graph, out-of-range option, unwritable output file or usage error
+(such as an unknown option); 2 infeasible record; 3 tolerance breach in a
+check command.
 
 All file I/O is UTF-8 JSON with sorted keys, so identical arguments and
 inputs produce byte-identical outputs.  Measurement schema:
@@ -53,9 +54,7 @@ from .stabilizer import DENSE_CAP, GraphSpec
 
 
 class MalformedInput(Exception):
-    def __init__(self, fieldname: str, problem: str):
-        self.fieldname = fieldname
-        super().__init__(f"field '{fieldname}': {problem}")
+    """An input file or option the CLI refuses: ``main`` prints ``error: <message>`` and returns 1."""
 
 
 def _json_text(obj) -> str:
@@ -67,7 +66,7 @@ def _write_json(obj, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_json_text(obj))
     except OSError as exc:
-        raise MalformedInput("<file>", f"cannot write {path}: {exc}") from exc
+        raise MalformedInput(f"field '<file>': cannot write {path}: {exc}") from exc
 
 
 def _load_json(path: str):
@@ -75,11 +74,11 @@ def _load_json(path: str):
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise MalformedInput("<file>", f"cannot read {path}: {exc}") from exc
+        raise MalformedInput(f"field '<file>': cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (ValueError, RecursionError) as exc:  # also int literals over 4300 digits, deep nesting
-        raise MalformedInput("<file>", f"{path} is not valid UTF-8 JSON: {exc}") from exc
+        raise MalformedInput(f"field '<file>': {path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _is_number(v) -> bool:
@@ -89,26 +88,26 @@ def _is_number(v) -> bool:
 
 def _qubit_count(doc: dict, n_max: float = math.inf) -> int:
     if "n" not in doc:
-        raise MalformedInput("n", "missing")
+        raise MalformedInput("field 'n': missing")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= n_max:
         want = "a positive integer" if n_max == math.inf else f"an integer in 1..{n_max}"
-        raise MalformedInput("n", f"expected {want}, got {n!r}")
+        raise MalformedInput(f"field 'n': expected {want}, got {n!r}")
     return n
 
 
 def _number_list(doc: dict, key: str, n: int, lo: float, hi: float) -> list[float]:
     if key not in doc:
-        raise MalformedInput(key, "missing")
+        raise MalformedInput(f"field '{key}': missing")
     vals = doc[key]
     if not isinstance(vals, list) or len(vals) != n:
-        raise MalformedInput(key, f"expected a list of {n} numbers")
+        raise MalformedInput(f"field '{key}': expected a list of {n} numbers")
     out = []
     for v in vals:
         if not _is_number(v):
-            raise MalformedInput(key, f"non-numeric entry {v!r}")
+            raise MalformedInput(f"field '{key}': non-numeric entry {v!r}")
         if not (lo <= v <= hi):
-            raise MalformedInput(key, f"entry {v!r} outside [{lo}, {hi}]")
+            raise MalformedInput(f"field '{key}': entry {v!r} outside [{lo}, {hi}]")
         out.append(float(v) + 0.0)  # + 0.0 turns a -0.0 into 0.0
     return out
 
@@ -117,7 +116,7 @@ def load_measurement(path: str):
     """Parse a measurement file; returns (record, graph or None, meta, digest)."""
     doc, digest = _load_json(path)
     if not isinstance(doc, dict):
-        raise MalformedInput("<file>", "top-level value must be an object")
+        raise MalformedInput("field '<file>': top-level value must be an object")
     n = _qubit_count(doc)
     a = _number_list(doc, "a", n, -1.0, 1.0)
     delta = _number_list(doc, "delta_a", n, 0.0, 2.0) if "delta_a" in doc else [0.0] * n
@@ -126,22 +125,22 @@ def load_measurement(path: str):
         if not isinstance(raw, list) or len(raw) != n or any(
             not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in raw
         ):
-            raise MalformedInput("shots", f"expected a list of {n} positive integers")
+            raise MalformedInput(f"field 'shots': expected a list of {n} positive integers")
     graph = None
     if doc.get("graph") is not None:
         try:
             graph = GraphSpec.from_dict(doc["graph"])
         except ValueError as exc:
-            raise MalformedInput("graph", str(exc)) from exc
+            raise MalformedInput(f"field 'graph': {exc}") from exc
         if graph.n != n:
-            raise MalformedInput("graph", f"graph has {graph.n} vertices but n = {n}")
+            raise MalformedInput(f"field 'graph': graph has {graph.n} vertices but n = {n}")
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
-        raise MalformedInput("meta", "expected an object")
+        raise MalformedInput("field 'meta': expected an object")
     try:
         json.dumps(meta, allow_nan=False)  # the report copies meta, so it must be strict JSON
     except ValueError as exc:
-        raise MalformedInput("meta", "NaN and Infinity are not valid JSON numbers") from exc
+        raise MalformedInput("field 'meta': NaN and Infinity are not valid JSON numbers") from exc
     record = MeasurementRecord(n, a, delta)
     return record, graph, meta or {}, digest
 
@@ -238,14 +237,11 @@ def cmd_simulate(args) -> int:
     try:
         graph = _resolve_graph(args.graph)
     except (ValueError, MalformedInput) as exc:
-        print(f"error: invalid graph: {exc}", file=sys.stderr)
-        return 1
+        raise MalformedInput(f"invalid graph: {exc}") from exc
     if not (math.isfinite(args.gamma_t) and args.gamma_t >= 0):
-        print("error: --gamma-t must be finite and nonnegative", file=sys.stderr)
-        return 1
+        raise MalformedInput("--gamma-t must be finite and nonnegative")
     if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 1
+        raise MalformedInput("--seed must be nonnegative")
 
     meta = {
         "generator": "stabpurity simulate",
@@ -260,12 +256,10 @@ def cmd_simulate(args) -> int:
     else:
         try:
             shots = int(args.shots)
-        except ValueError:
-            print(f"error: --shots must be an integer or 'exact', got {args.shots!r}", file=sys.stderr)
-            return 1
+        except ValueError as exc:
+            raise MalformedInput(f"--shots must be an integer or 'exact', got {args.shots!r}") from exc
         if not 1 <= shots < 2**63:  # numpy's binomial sampler takes an int64 count
-            print("error: --shots must be between 1 and 2**63 - 1", file=sys.stderr)
-            return 1
+            raise MalformedInput("--shots must be between 1 and 2**63 - 1")
         record = sample_measurements(a_true, shots, args.seed)
         meta.update({"shots": shots, "seed": args.seed, "rng": RNG_ALGORITHM})
 
@@ -335,15 +329,15 @@ def replay_instance(doc) -> dict:
     """
     oracle = _oracle()
     if not isinstance(doc, dict):
-        raise MalformedInput("<file>", "top-level value must be an object")
+        raise MalformedInput("field '<file>': top-level value must be an object")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in oracle.TOLERANCES:
-        raise MalformedInput("kind", f"unknown instance kind {kind!r}")
+        raise MalformedInput(f"field 'kind': unknown instance kind {kind!r}")
     n = _qubit_count(doc, DENSE_CAP)
     if kind == "integrator":
         x = doc.get("gamma_t")
         if not _is_number(x) or not 0 <= x <= oracle.MAX_GAMMA_T:
-            raise MalformedInput("gamma_t", f"expected a number in [0, {oracle.MAX_GAMMA_T}], got {x!r}")
+            raise MalformedInput(f"field 'gamma_t': expected a number in [0, {oracle.MAX_GAMMA_T}], got {x!r}")
     else:
         x = _number_list(doc, "a", n, 0.0, 1.0)
     gap, tolerance = oracle.instance_gap(kind, n, x), oracle.TOLERANCES[kind]
@@ -354,22 +348,15 @@ def cmd_oracle_check(args) -> int:
     oracle = _oracle()
     if args.input:
         doc, _ = _load_json(args.input)
-        try:
-            result = replay_instance(doc)
-        except InfeasibleRecord as exc:  # a qp instance with no closed-form p_min to compare
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        result = replay_instance(doc)
         sys.stdout.write(_json_text(result))
         return 0 if result["ok"] else 3
     if not (1 <= args.n_min <= args.n_max <= DENSE_CAP):
-        print(f"error: need 1 <= --n-min <= --n-max <= {DENSE_CAP}", file=sys.stderr)
-        return 1
+        raise MalformedInput(f"need 1 <= --n-min <= --n-max <= {DENSE_CAP}")
     if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 1
+        raise MalformedInput("--seed must be nonnegative")
     if args.trials < 0:
-        print("error: --trials must be nonnegative", file=sys.stderr)
-        return 1
+        raise MalformedInput("--trials must be nonnegative")
     summary = oracle.run_oracle_trials(args.trials, args.n_min, args.n_max, args.seed)
     tolerance = oracle.TOLERANCES
     failure = summary.pop("failure")
@@ -439,12 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except MalformedInput as exc:
+    except SystemExit as exc:  # argparse's: 2 after a usage error, 0 after --help or --version
+        return 1 if exc.code else 0
+    except (MalformedInput, InfeasibleRecord) as exc:  # infeasible: a replayed qp instance
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InfeasibleRecord) else 1
 
 
 if __name__ == "__main__":

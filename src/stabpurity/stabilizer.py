@@ -12,7 +12,7 @@ Conventions, fixed project-wide:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Largest n for which dense 2^n x 2^n matrices may be materialized.
 DENSE_CAP = 10
@@ -22,41 +22,31 @@ DENSE_CAP = 10
 class GraphSpec:
     """A simple undirected graph on vertices 0..n-1.
 
-    Edges are stored as a frozenset of sorted pairs; self-loops and duplicate
-    edges are rejected.  n = 1 with no edges is valid (single generator X).
+    Edges may be given as any iterable of vertex pairs, in either order, with
+    each vertex passed through ``int()``.  They are normalized on construction
+    and stored as a frozenset of sorted pairs; self-loops, out-of-range
+    vertices and duplicate edges (in either order) are rejected.  n = 1 with no
+    edges is valid (single generator X).
     """
 
     n: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    edges: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
-        seen = set()
-        for e in self.edges:
+        normalized = set()
+        for pair in self.edges:
+            e = tuple(sorted(map(int, pair)))
             u, v = e
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u and v < self.n):
                 raise ValueError(f"edge {e} outside vertex range 0..{self.n - 1}")
-            if u > v:
-                raise ValueError(f"edge {e} not normalized; use GraphSpec.from_edges")
-            if e in seen:
+            if e in normalized:
                 raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "GraphSpec":
-        """Build a GraphSpec from any iterable of vertex pairs."""
-        normalized = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u > v:
-                u, v = v, u
-            if (u, v) in normalized:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            normalized.add((u, v))
-        return cls(int(n), frozenset(normalized))
+            normalized.add(e)
+        object.__setattr__(self, "edges", frozenset(normalized))
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":
@@ -69,7 +59,7 @@ class GraphSpec:
         for value in (d["n"], *(v for e in edges for v in e)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"graph n and vertices must be integers, got {value!r}")
-        return cls.from_edges(d["n"], edges)
+        return cls(d["n"], edges)
 
     @classmethod
     def preset(cls, name: str) -> "GraphSpec":
@@ -84,7 +74,7 @@ class GraphSpec:
             edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)} if n > 1 else []
         else:
             edges = [(0, i) for i in range(1, n)]
-        return cls.from_edges(n, edges)
+        return cls(n, edges)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in sorted(self.edges)]}

@@ -11,7 +11,7 @@ from stabpurity.stabilizer import GraphSpec
 def random_graph(rng, n: int) -> GraphSpec:
     """Uniformly random simple graph on n labeled vertices."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-    return GraphSpec.from_edges(n, edges)
+    return GraphSpec(n, edges)
 
 
 def _within_budget(deficits: np.ndarray, budget: float) -> MeasurementRecord:

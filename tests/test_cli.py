@@ -501,6 +501,40 @@ class TestOracleCheck:
         assert str(target) in err
 
 
+SIMULATE = ("simulate", "--graph", "path-2", "--output", "x.json")
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["estimate"],
+            ["estimate", "--input", "m.json", "--bogus"],
+            [*SIMULATE],
+            [*SIMULATE, "--gamma-t", "abc"],
+            [*SIMULATE, "--gamma-t", "0.1", "--seed", "1.5"],
+            [*SIMULATE, "--gamma-t", "0.1", "--bogus"],
+            ["reproduce-tables", "--bogus"],
+            ["oracle-check", "--trials", "abc"],
+            ["oracle-check", "--n-min"],
+            ["oracle-check", "--bogus"],
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        # argparse's own exit code 2 would read as an infeasible record
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "usage:" in err
+
+    def test_help_and_version_exit_0(self, capsys):
+        for argv in (["--version"], ["--help"], ["oracle-check", "--help"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out
+
+
 class TestReportPrecision:
     def test_floats_survive_json(self, tmp_path):
         f = write_json(tmp_path / "m.json", {"n": 2, "a": [A01, A01]})

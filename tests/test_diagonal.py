@@ -50,6 +50,8 @@ class TestVectors:
     def test_coeff_vector_requires_power_of_two_length(self):
         with pytest.raises(ValueError, match="length"):
             CoeffVector(2, [1.0, 0.0])
+        with pytest.raises(ValueError, match="at least one qubit"):
+            CoeffVector(0, [1.0])
 
     def test_values_are_read_only(self):
         c = CoeffVector(1, [1.0, 0.5])

@@ -68,6 +68,8 @@ class TestRecordValidation:
             MeasurementRecord(2, np.array([0.5]))
         with pytest.raises(ValueError):
             MeasurementRecord(2, [0.5, 0.5], [0.1])
+        with pytest.raises(ValueError, match="at least one generator"):
+            MeasurementRecord(0, [])
 
     def test_any_sequence_accepted_and_stored_as_tuples(self):
         want = MeasurementRecord(3, (0.5, 1.0, -0.25), (0.0, 0.1, 0.0))
@@ -411,9 +413,11 @@ class TestPairwiseCheck:
 
     def test_graph_restricts_to_edges(self):
         rec = record(0.9, 0.3, 0.9)
-        path = GraphSpec.from_edges(3, [(0, 1), (1, 2)])
+        path = GraphSpec(3, [(0, 1), (1, 2)])
         assert not pairwise_warned(rec, path)  # 0.9 + 0.3 >= 1 on both edges
         assert pairwise_warned(record(0.6, 0.3, 0.9), path)
+        with pytest.raises(ValueError, match="disagree on generator count"):
+            min_purity(rec, GraphSpec.preset("path-2"))
 
     def test_warning_issued(self):
         est = min_purity(record(0.9, 0.45, 0.45))  # 0.45 + 0.45 < 1, still feasible

@@ -497,6 +497,9 @@ class TestIntegrator:
         for t in (MAX_GAMMA_T * 1.001, 1e7, math.inf, math.nan):
             with pytest.raises(ValueError, match="bound"):
                 master_equation_evolve(g, gamma=1.0, t=t)
+        for gamma, t in ((-1.0, 0.1), (1.0, -0.1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                master_equation_evolve(g, gamma, t)
 
     def test_step_floor_enforced(self):
         g = GraphSpec(1)

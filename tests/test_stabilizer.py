@@ -14,15 +14,17 @@ PATH2 = GraphSpec.preset("path-2")
 class TestGraphSpec:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            GraphSpec.from_edges(2, [(0, 0)])
+            GraphSpec(2, [(0, 0)])
 
     def test_rejects_duplicate_edges(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            GraphSpec.from_edges(3, [(0, 1), (1, 0)])
+        for edges in ([(0, 1), (1, 0)], [(1, 2), (1, 2)]):
+            with pytest.raises(ValueError, match="duplicate"):
+                GraphSpec(3, edges)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            GraphSpec.from_edges(2, [(0, 2)])
+        for edges in ([(0, 2)], [(-1, 0)]):
+            with pytest.raises(ValueError, match="outside"):
+                GraphSpec(2, edges)
 
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError):
@@ -30,6 +32,10 @@ class TestGraphSpec:
 
     def test_single_vertex_valid(self):
         assert GraphSpec(1).edges == frozenset()
+
+    def test_edges_normalized_on_construction(self):
+        assert GraphSpec(3, [(1, 0)]).edges == {(0, 1)}
+        assert GraphSpec(3, [(2, 1), (1, 0)]) == GraphSpec(3, frozenset({(0, 1), (1, 2)}))
 
     def test_presets(self):
         assert GraphSpec.preset("path-4").edges == frozenset({(0, 1), (1, 2), (2, 3)})
@@ -60,7 +66,7 @@ class TestGraphSpec:
     def test_dict_form_is_not_coerced(self, doc):
         with pytest.raises(ValueError):
             GraphSpec.from_dict(doc)
-        assert GraphSpec.from_edges(3.0, [(True, 2.0)]).edges == {(1, 2)}  # callers in the program
+        assert GraphSpec(3, [(True, 2.0)]).edges == {(1, 2)}  # callers in the program
 
 
 def generators(graph: GraphSpec) -> list[np.ndarray]:
