@@ -123,28 +123,30 @@ def test_no_module_imports_an_unused_name():
 def test_every_exception_attribute_is_read():
     """An attribute an exception class of the package stores on ``self`` is read
     as ``.name`` somewhere in the package, the benchmark or the tests."""
-    root = Path(SRC).parent
-    package = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(Path(SRC, "stabpurity").glob("*.py"))]
-    classes = [node for tree in package for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
-    exceptions = {name for name in dir(builtins) if isinstance(getattr(builtins, name), type)
-                  and issubclass(getattr(builtins, name), BaseException)}
+    package = Path(stabpurity.__file__).parent.glob("*.py")
+    classes = [node for path in package for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
     while new := {c.name for c in classes if c.name not in exceptions
-                  and any(isinstance(b, ast.Name) and b.id in exceptions for b in c.bases)}:
+                  and any(isinstance(base, ast.Name) and base.id in exceptions for base in c.bases)}:
         exceptions |= new
     stored = {
-        f"{c.name}.{node.attr}"
+        (c.name, node.attr)
         for c in classes if c.name in exceptions
         for node in ast.walk(c)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
         and isinstance(node.value, ast.Name) and node.value.id == "self"
     }
+    root = Path(__file__).parent.parent
     read = {
         node.attr
-        for path in sorted(p for d in ("src", "bench", "tests") for p in (root / d).rglob("*.py"))
+        for tree in ("src", "bench", "tests")
+        for path in (root / tree).rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    assert sorted(name for name in stored if name.split(".")[1] not in read) == []
+    assert sorted(f"{cls}.{attr}" for cls, attr in stored if attr not in read) == []
 
 
 def test_readme_library_example_runs():
