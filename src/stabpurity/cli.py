@@ -145,22 +145,20 @@ def load_measurement(path: str):
     return record, graph, meta or {}, digest
 
 
-def build_report(record, graph, meta, digest, with_certificate: bool = True) -> dict:
+def build_report(record, graph, meta, digest) -> dict:
     """Run the full estimation pipeline on an already-parsed record; returns the report document."""
     normalized, signs = normalize_signs(record)
     pur = min_purity(normalized, graph)
     ent = estimate_entropy(normalized)
 
-    certificate = None
-    if with_certificate:
-        if normalized.n <= DENSE_CAP:
-            try:
-                cert = kkt_certificate(normalized)
-            except CertificateInvalid as exc:
-                cert = exc.certificate
-            certificate = {"valid": cert.valid, "min_mu": cert.min_mu}
-        else:  # kept for the report schema and the benchmark gate, which pin null above the cap
-            certificate = {"valid": None, "skipped": f"n > dense cap {DENSE_CAP}"}
+    if normalized.n <= DENSE_CAP:
+        try:
+            cert = kkt_certificate(normalized)
+        except CertificateInvalid as exc:
+            cert = exc.certificate
+        certificate = {"valid": cert.valid, "min_mu": cert.min_mu}
+    else:  # kept for the report schema and the benchmark gate, which pin null above the cap
+        certificate = {"valid": None, "skipped": f"n > dense cap {DENSE_CAP}"}
 
     return {
         "version": __version__,
@@ -198,8 +196,7 @@ def _print_report(report: dict, out) -> None:
     print(f"lambda0          = {fmt(report['lambda0'])}", file=out)
     print(f"s_lower          = {fmt(report['s_lower'])}", file=out)
     print(f"s_max            = {fmt(report['s_max'])}", file=out)
-    if report["certificate"] is not None:
-        print(f"certificate      = {report['certificate']}", file=out)
+    print(f"certificate      = {report['certificate']}", file=out)
     for w in report["warnings"]:
         print(f"warning: {w}", file=out)
 
@@ -207,26 +204,23 @@ def _print_report(report: dict, out) -> None:
 def cmd_estimate(args) -> int:
     record, graph, meta, digest = load_measurement(args.input)
     try:
-        report = build_report(record, graph, meta, digest, not args.no_certificate)
-    except InfeasibleRecord as exc:
-        error = {
+        doc, code = build_report(record, graph, meta, digest), 0
+    except InfeasibleRecord as exc:  # always printed as JSON, so a caller can parse the refusal
+        doc = {
             "error": "infeasible",
             "message": str(exc),
             "n": exc.n,
             "lambda0": exc.lambda0,
             "sum_a": math.fsum(map(abs, record.a)),
         }
-        if args.output:
-            _write_json(error, args.output)
-        sys.stdout.write(_json_text(error))
-        return 2
+        code = 2
     if args.output:
-        _write_json(report, args.output)
-    if args.json:
-        sys.stdout.write(_json_text(report))
+        _write_json(doc, args.output)
+    if args.json or code:
+        sys.stdout.write(_json_text(doc))
     else:
-        _print_report(report, sys.stdout)
-    return 0
+        _print_report(doc, sys.stdout)
+    return code
 
 
 def _truth_path(output: str) -> str:
@@ -249,9 +243,9 @@ def cmd_simulate(args) -> int:
         "graph": args.graph,
         "gamma_t": args.gamma_t,
     }
-    a_true = [math.exp(-args.gamma_t)] * graph.n
+    exact = exact_record(graph, args.gamma_t)
     if args.shots == "exact":
-        record = exact_record(graph, args.gamma_t)
+        record = exact
         meta["shots"] = "exact"
     else:
         try:
@@ -260,7 +254,7 @@ def cmd_simulate(args) -> int:
             raise MalformedInput(f"--shots must be an integer or 'exact', got {args.shots!r}") from exc
         if not 1 <= shots < 2**63:  # numpy's binomial sampler takes an int64 count
             raise MalformedInput("--shots must be between 1 and 2**63 - 1")
-        record = sample_measurements(a_true, shots, args.seed)
+        record = sample_measurements(exact.a, shots, args.seed)
         meta.update({"shots": shots, "seed": args.seed, "rng": RNG_ALGORITHM})
 
     measurement = {
@@ -276,7 +270,7 @@ def cmd_simulate(args) -> int:
         "n": graph.n,
         "graph": graph.to_dict(),
         "gamma_t": args.gamma_t,
-        "a_exact": a_true,
+        "a_exact": list(exact.a),
         "purity_exact": exact_purity_dephased(graph, args.gamma_t),
         "entropy_exact": exact_entropy_dephased(graph, args.gamma_t),
     }
@@ -345,7 +339,6 @@ def replay_instance(doc) -> dict:
 
 
 def cmd_oracle_check(args) -> int:
-    oracle = _oracle()
     if args.input:
         doc, _ = _load_json(args.input)
         result = replay_instance(doc)
@@ -357,6 +350,7 @@ def cmd_oracle_check(args) -> int:
         raise MalformedInput("--seed must be nonnegative")
     if args.trials < 0:
         raise MalformedInput("--trials must be nonnegative")
+    oracle = _oracle()  # after the option checks, so a refusal loads no numpy
     summary = oracle.run_oracle_trials(args.trials, args.n_min, args.n_max, args.seed)
     tolerance = oracle.TOLERANCES
     failure = summary.pop("failure")
@@ -393,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="measurement JSON file")
     p.add_argument("--output", help="write the report JSON here")
     p.add_argument("--json", action="store_true", help="print the report as JSON")
-    p.add_argument("--no-certificate", action="store_true", help="skip the optimality certificate")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="simulate a dephased graph-state experiment")

@@ -23,21 +23,27 @@ class GraphSpec:
     """A simple undirected graph on vertices 0..n-1.
 
     Edges may be given as any iterable of vertex pairs, in either order, with
-    each vertex passed through ``int()``.  They are normalized on construction
-    and stored as a frozenset of sorted pairs; self-loops, out-of-range
-    vertices and duplicate edges (in either order) are rejected.  n = 1 with no
-    edges is valid (single generator X).
+    each vertex passed through ``int()``, which must keep its value (1.9, "1"
+    and inf are rejected).  They are normalized on construction and stored as
+    a frozenset of sorted pairs; self-loops, out-of-range vertices and
+    duplicate edges (in either order) are rejected.  n = 1 with no edges is
+    valid (single generator X).
     """
 
     n: int
     edges: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         normalized = set()
         for pair in self.edges:
-            e = tuple(sorted(map(int, pair)))
+            try:
+                e = tuple(sorted(int(v) for v in pair if int(v) == v))
+            except (TypeError, ValueError, OverflowError):  # int() refused a vertex
+                e = ()
+            if len(e) != 2:
+                raise ValueError(f"edge {pair!r} is not a pair of integer vertices")
             u, v = e
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from stabpurity import oracle
 from stabpurity.cli import (
+    build_parser,
     build_report,
     load_measurement,
     main,
@@ -227,11 +230,6 @@ class TestEstimate:
         f2 = write_json(tmp_path / "m2.json", doc)
         _, out2, _ = run(capsys, "estimate", "--input", f2, "--json")
         assert not any("sum below 1" in w for w in json.loads(out2)["warnings"])
-
-    def test_no_certificate_flag(self, tmp_path, capsys):
-        f = write_json(tmp_path / "m.json", {"n": 2, "a": [0.9, 0.9]})
-        _, out, _ = run(capsys, "estimate", "--input", f, "--json", "--no-certificate")
-        assert json.loads(out)["certificate"] is None
 
     def test_human_readable_output(self, tmp_path, capsys):
         f = write_json(tmp_path / "m.json", {"n": 2, "a": [0.9, 0.9]})
@@ -512,6 +510,7 @@ class TestUsage:
             ["frobnicate"],
             ["estimate"],
             ["estimate", "--input", "m.json", "--bogus"],
+            ["estimate", "--input", "m.json", "--no-certificate"],  # removed: every report has its verdict
             [*SIMULATE],
             [*SIMULATE, "--gamma-t", "abc"],
             [*SIMULATE, "--gamma-t", "0.1", "--seed", "1.5"],
@@ -527,6 +526,22 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert "usage:" in err
+
+    def test_readme_synopsis_names_every_option(self):
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+        named = {}
+        for line in block.splitlines():
+            command = line.split("#", 1)[0]
+            words = command.split()
+            if words[:1] == ["stabpurity"]:
+                named.setdefault(words[1], set()).update(re.findall(r"--[a-z-]+", command))
+        (commands,) = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        parsed = {
+            name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, sub in commands.items()
+        }
+        assert named == parsed
 
     def test_help_and_version_exit_0(self, capsys):
         for argv in (["--version"], ["--help"], ["oracle-check", "--help"]):

@@ -33,7 +33,6 @@ EXPECTED = GOLDEN / "expected"
 #: How each measurement file is estimated: run-id suffix -> extra CLI arguments.
 ESTIMATE_MODES = {
     "json": ["--json"],
-    "json-nocert": ["--json", "--no-certificate"],
     "text": [],
 }
 

@@ -1,6 +1,6 @@
-"""The package's import graph: a bare package, estimate, exact simulate and
-reproduce-tables without numpy, no module reaching into another's private names,
-and no module importing a name it never reads."""
+"""The package's import graph: a bare package, estimate, exact simulate,
+reproduce-tables and an oracle-check refusal without numpy, no module reaching
+into another's private names, and no module importing a name it never reads."""
 
 import ast
 import builtins
@@ -64,11 +64,11 @@ class TestNoNumpy:
         [
             (["estimate", "--input", str(GOLDEN_INPUTS / "n10.json"), "--json"], 0),
             (["estimate", "--input", str(GOLDEN_INPUTS / "seeded-06.json")], 0),
-            (["estimate", "--input", str(GOLDEN_INPUTS / "n11.json"), "--json", "--no-certificate"], 0),
+            (["estimate", "--input", str(GOLDEN_INPUTS / "n11.json"), "--json"], 0),
             (["estimate", "--input", str(GOLDEN_INPUTS / "infeasible.json"), "--json"], 2),
             (["estimate", "--input", str(GOLDEN_INPUTS / "graph-pairwise-warning.json"), "--json"], 0),
         ],
-        ids=["json", "text", "no-certificate", "infeasible", "graph"],
+        ids=["json", "text", "above-dense-cap", "infeasible", "graph"],
     )
     def test_estimate(self, argv, code):
         assert _probe(argv) == {"code": code, "numpy": False}
@@ -76,6 +76,9 @@ class TestNoNumpy:
     @pytest.mark.parametrize("argv", [["reproduce-tables"], ["reproduce-tables", "--json"]], ids=["text", "json"])
     def test_reproduce_tables(self, argv):
         assert _probe(argv) == {"code": 0, "numpy": False}
+
+    def test_oracle_check_refusal(self):
+        assert _probe(["oracle-check", "--seed", "-1"]) == {"code": 1, "numpy": False}
 
     def test_exact_simulate(self, tmp_path):
         argv = ["simulate", "--graph", "ring-6", "--gamma-t", "0.3", "--output", str(tmp_path / "m.json")]

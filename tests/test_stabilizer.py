@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,14 @@ class TestGraphSpec:
                 GraphSpec(2, edges)
 
     def test_rejects_empty_graph(self):
-        with pytest.raises(ValueError):
-            GraphSpec(0)
+        for n in (0, True):  # a bool n would be written to JSON as true
+            with pytest.raises(ValueError, match="vertex count"):
+                GraphSpec(n)
+
+    def test_rejects_non_integer_vertex(self):
+        for v in (1.9, "1", math.inf, math.nan, None):
+            with pytest.raises(ValueError, match="integer vertices"):
+                GraphSpec(3, [(0, v)])
 
     def test_single_vertex_valid(self):
         assert GraphSpec(1).edges == frozenset()
