@@ -44,8 +44,7 @@ x + p + q = 0 hold by construction, so
 
     kkt_residual = ||B x - b||_inf
 
-is the whole KKT system violation, and the loop may stop once it is at most
-``_TOL``.
+is the whole KKT system violation of the sweep's point (NotConverged reports it).
 
 Certified polish.  The sweep finds the support of the optimum long before it
 settles the last digits, so every ``_CHECK_EVERY`` = 10 sweeps the loop first
@@ -69,12 +68,17 @@ S = {0, 1, 2} solves to (0, 1/2, 1/2, 0) with score 1 at j = 3, and S' is
 the whole optimum support, where {j : score > 0} = {1, 2, 3} would solve back
 to {0, 1, 2}.  The support the sweep has after 10 sweeps is only a few such
 steps from the optimum's.  The re-solves end at the first certified
-spectrum, or when S' = S, when a system is singular (an a_k of exactly 1
-keeps the support on one value of bit k, which repeats a row of B_S), or
-after n + 1 solves, the dual dimension; then another ``_CHECK_EVERY`` sweeps
-run, and the residual test above stays the fallback.  A certified lambda
-depends on its support alone, so the number of sweeps and solves that found
-the support does not change a bit of it.
+spectrum, or when S' = S, when a system is singular, or after n + 1 solves,
+the dual dimension.  Then the off-S index of highest score joins S, as in
+Lawson & Hanson's outer loop, and the re-solves start over, n + 1 rounds
+at most before another ``_CHECK_EVERY`` sweeps run.  This is for an a_k just
+below 1: its tiny mass (1 - a_k)/2 on bit k = 1 lies along a nearly flat
+dual direction, so the sweep's S keeps bit k at 0, where row k of B_S
+repeats the all-ones row and the system is singular.  Within a rounding unit
+of 1 that mass is 0 to working precision, and ``qp_min_purity`` removes the
+generator before the sweep.  A certified lambda depends on its support
+alone, so the number of sweeps and solves that found it does not change a
+bit of it, and the certified polish is the only way the QP answers.
 
 Cross-check.  ``instance_gap`` scores one instance of a check kind (``qp``,
 ``entropy`` or ``integrator``) as the deviation of the closed form from its
@@ -99,24 +103,19 @@ from .stabilizer import DENSE_CAP, GraphSpec
 
 #: Iterations between convergence checks.
 _CHECK_EVERY = 10
-#: QP stopping residual and iteration budget.
-_TOL = 1e-9
+#: QP iteration budget.
 _MAX_ITER = 10**6
 #: Slack of each KKT condition the polished spectrum must meet.
 _CERT_TOL = 1e-12
 #: Largest gamma*t the master-equation integrator accepts; see master_equation_evolve.
 MAX_GAMMA_T = 30.0
 #: Largest deviation of a closed form from its numeric check, per check kind.
-TOLERANCES = {"qp": 1e-6, "entropy": 1e-6, "integrator": 1e-8}
+TOLERANCES = {"qp": 1e-12, "entropy": 1e-12, "integrator": 1e-8}
 
 
 @dataclass(frozen=True)
 class QpSolution:
-    """The numeric optimum of the purity QP.
-
-    ``iterations`` counts the accelerated dual sweeps run (a multiple of
-    ``_CHECK_EVERY``); ``kkt_residual`` is ||B lambda - b||_inf.
-    """
+    """The numeric optimum of the purity QP; see ``qp_min_purity`` for the fields."""
 
     lambda_star: np.ndarray
     objective: float
@@ -137,30 +136,30 @@ def _sign_matrix(n: int) -> np.ndarray:
 def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     """Numeric minimum purity over the eigenvalue simplex; see module docstring.
 
-    Deterministic: the restarts are decided by the iterates alone, so
-    identical inputs give identical iterates.  ``iterations`` counts the
-    accelerated sweeps run until a spectrum was returned, a multiple of
-    ``_CHECK_EVERY``; the support solves of a check are not counted.  The
-    spectrum is the first certified polish, or else passed the residual test
-    and was normalized to exact unit mass.  ``kkt_residual`` is
-    ||B lambda - b||_inf of the returned spectrum; it is at most
-    ``_CERT_TOL`` whenever the polish certified it.  The constraint set is never empty on [0, 1]^n: the product
-    spectrum prod_k (1 +- a_k)/2 satisfies it.  The residual test passes once
-    ||B lambda - b||_inf is at most ``_TOL``; raises NotConverged past
-    ``_MAX_ITER`` sweeps.
+    Deterministic.  An a_k within a rounding unit (2^-52) of 1 is pinned: it
+    forces lambda_j = 0 wherever bit k of j is set, so it is removed and the
+    rest of the record fills, in ascending order, the indices with every
+    pinned bit clear (lambda_0 = 1 if all are pinned).  ``iterations`` counts
+    that reduced record's sweeps, a multiple of ``_CHECK_EVERY``, not its
+    support solves.  ``kkt_residual`` is ||B lambda - b||_inf on the full
+    record: the polish's ``_CERT_TOL``, plus at most 2^-52 on a pinned row.
+    Raises NotConverged past ``_MAX_ITER`` sweeps.  The constraint set is
+    never empty on [0, 1]^n: the product spectrum prod_k (1 +- a_k)/2 fits it.
     """
     if record.n > DENSE_CAP:
         raise DenseCapExceeded(record.n, DENSE_CAP, "numeric quadratic program")
     _require_unit_interval(record.a)
-    dim = 1 << record.n
-    rows = _sign_matrix(record.n)
-    b = np.concatenate(([1.0], record.a))
-    step_rows = rows / dim  # rows are orthogonal with norm^2 = dim
-    step_b = b / dim
-    nu = np.zeros(record.n + 1)
-    y, t = nu, 1.0
-    iterations = 0
-    residual = math.inf
+    full, full_b = _sign_matrix(record.n), np.concatenate(([1.0], record.a))
+    free = np.concatenate(([True], full_b[1:] < 1.0 - np.finfo(float).eps))  # sum row, unpinned a_k
+    if not free[1:].any():  # every bit pinned: lambda_0 = 1
+        return QpSolution(np.eye(1, 1 << record.n)[0], 1.0, 0, 1.0 - min(record.a))
+    clear = (full[~free] > 0.0).all(axis=0)  # the indices with every pinned bit clear
+    # on ``clear`` the free rows are the reduced record's sign matrix, in row-major order
+    rows, b = full[np.ix_(free, clear)], full_b[free]
+    dim = rows.shape[1]  # rows are orthogonal with norm^2 = dim
+    step_rows, step_b = rows / dim, b / dim
+    nu = y = np.zeros(len(b))
+    t, iterations = 1.0, 0
     while iterations < _MAX_ITER:
         for _ in range(_CHECK_EVERY):  # one accelerated dual sweep (module docstring)
             nxt = y + step_b - step_rows @ np.maximum(rows.T @ y, 0.0)
@@ -171,16 +170,16 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
             nu, t = nxt, t_next
         iterations += _CHECK_EVERY
         scores = rows.T @ nu
-        x = _certify(rows, b, scores > 0.0)
-        if x is None:
-            x = np.maximum(scores, 0.0)
-            residual = float(np.abs(rows @ x - b).max())
-            if residual > _TOL:
-                continue
-            # exact unit mass; shifts the other constraints by O(residual) only
-            x /= x.sum()
-        return QpSolution(x, float(np.dot(x, x)), iterations, float(np.abs(rows @ x - b).max()))
-    raise NotConverged(iterations, residual)
+        support = scores > 0.0
+        for _ in range(len(b)):
+            x = _certify(rows, b, support)
+            if x is not None:
+                lam = np.zeros(1 << record.n)
+                lam[clear] = x
+                return QpSolution(lam, float(np.dot(lam, lam)), iterations, float(np.abs(full @ lam - full_b).max()))
+            # as in Lawson-Hanson's outer loop, the best-scoring eigenvalue off S joins it
+            support = support | (scores == np.where(support, -np.inf, scores).max())
+    raise NotConverged(iterations, float(np.abs(rows @ np.maximum(rows.T @ nu, 0.0) - b).max()))
 
 
 def _certify(rows: np.ndarray, b: np.ndarray, support: np.ndarray) -> np.ndarray | None:
@@ -420,7 +419,7 @@ def run_oracle_trials(trials: int, n_min: int, n_max: int, seed: int) -> dict:
             band["count"] += 1
             diff = _qp_gap(probe_record)
             band["max_closed_minus_qp"] = max(band["max_closed_minus_qp"], diff)
-            if diff < -1e-9:
+            if diff < -_CERT_TOL:
                 band["qp_above_closed"] += 1
 
     integ_ns = list(range(n_min, n_max + 1))

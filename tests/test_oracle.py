@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabpurity import oracle
 from stabpurity.diagonal import twirl
-from stabpurity.errors import DenseCapExceeded, NotConverged
+from stabpurity.errors import DenseCapExceeded, InfeasibleRecord, NotConverged
 from stabpurity.estimator import (
     MeasurementRecord,
     binary_entropy,
@@ -15,7 +17,6 @@ from stabpurity.estimator import (
 )
 from stabpurity.oracle import (
     _CHECK_EVERY,
-    _TOL,
     MAX_GAMMA_T,
     TOLERANCES,
     _certify,
@@ -50,7 +51,8 @@ def record(*a):
 
 
 def primal_dykstra(rec):
-    """Plain Dykstra alternating projections on the 2^n primal iterates: the unaccelerated reference."""
+    """Plain Dykstra alternating projections on the 2^n primal iterates: the unaccelerated
+    reference, stopped once the residual and the stationarity gap are at most 1e-9."""
     dim = 1 << rec.n
     rows = _sign_matrix(rec.n)
     b = np.concatenate(([1.0], rec.a))
@@ -63,7 +65,7 @@ def primal_dykstra(rec):
             v = y + q
             x = np.maximum(v, 0.0)
             q = v - x
-        if max(np.abs(rows @ x - b).max(), 2.0 * np.abs(x + p + q).max()) <= _TOL:
+        if max(np.abs(rows @ x - b).max(), 2.0 * np.abs(x + p + q).max()) <= 1e-9:
             return x / x.sum()
 
 
@@ -127,60 +129,128 @@ class TestQp:
         assert s1.iterations == s2.iterations
 
     @pytest.mark.parametrize("n", range(1, DENSE_CAP + 1))
-    def test_accelerated_sweep_reaches_the_optimum(self, n, monkeypatch):
-        # with the polish switched off the accelerated loop must stop by Dykstra's
-        # own test, at the optimum that primal Dykstra (the reference, too slow
-        # past n = 8) and the certified polish both find, and in at most 2,000
-        # sweeps: plain Dykstra needs 63,480 here at n = 8, and momentum without
-        # the restart 39,200
+    def test_accelerated_sweep_reaches_the_optimum(self, n):
+        # the certified spectrum is the optimum that primal Dykstra (the reference,
+        # too slow past n = 8: 63,480 sweeps at n = 8) and, in the optimality domain,
+        # the closed form's lambda_0 and single-bit eigenvalues both give
         rng = np.random.default_rng(60 + n)
-        records = [optimal_record(rng, n)] + ([suboptimal_record(rng, n)] if n >= 2 else [])
-        certified = [qp_min_purity(rec).lambda_star for rec in records]
-        monkeypatch.setattr(oracle, "_certify", lambda *args: None)
-        for rec, exact in zip(records, certified):
-            sol = qp_min_purity(rec)
-            assert sol.iterations <= 2000
-            assert np.abs(sol.lambda_star - exact).max() <= 1e-8
+        rec = optimal_record(rng, n)
+        est = min_purity(rec)
+        closed = np.zeros(1 << n)
+        closed[0] = est.lambda0
+        closed[1 << np.arange(n)] = est.singles
+        records = [rec] + ([suboptimal_record(rng, n)] if n >= 2 else [])
+        solutions = [qp_min_purity(r) for r in records]
+        assert np.abs(solutions[0].lambda_star - closed).max() <= 1e-12
+        for r, sol in zip(records, solutions):
+            assert sol.kkt_residual <= 1e-12
             if n <= 8:
-                assert np.abs(sol.lambda_star - primal_dykstra(rec)).max() <= 1e-8
+                assert np.abs(sol.lambda_star - primal_dykstra(r)).max() <= 1e-8
+
+    @staticmethod
+    def spy_certify(monkeypatch) -> list:
+        """Record each ``_certify`` call as (constraint rows, spectrum or None)."""
+        certify, calls = oracle._certify, []
+
+        def spy(rows, b, support):
+            x = certify(rows, b, support)
+            calls.append((len(rows), x))
+            return x
+
+        monkeypatch.setattr(oracle, "_certify", spy)
+        return calls
 
     @pytest.mark.parametrize("n", range(1, DENSE_CAP + 1))
-    def test_binary_records_fall_back_to_dykstra(self, n, monkeypatch):
+    def test_binary_records_certify(self, n, monkeypatch):
         # an a_k of exactly 0 or 1 leaves the optimum uniform on the 2^zeros
-        # eigenvalues that fit the pinned bits; a pinned bit makes the support
-        # system singular, so Dykstra's stopping test answers (at least the
-        # all-ones record takes that path at every n)
+        # eigenvalues that fit the pinned bits; the ones are removed before the
+        # solve, and the all-ones record is lambda_0 = 1 with no solve at all
         rng = np.random.default_rng(90 + n)
         ones = np.eye(n)
         records = [np.ones(n), np.zeros(n), ones[0], ones[-1]] + [
             rng.integers(0, 2, size=n).astype(float) for _ in range(4)
         ]
-        certify, accepted = oracle._certify, []
-
-        def spy(*args):
-            x = certify(*args)
-            accepted.append(x is not None)
-            return x
-
-        monkeypatch.setattr(oracle, "_certify", spy)
-        fallbacks = 0
+        calls = self.spy_certify(monkeypatch)
         for a in records:
+            checks = len(calls)
             sol = qp_min_purity(MeasurementRecord(n, a))
-            fallbacks += not accepted[-1]
-            assert abs(sol.objective - 0.5 ** (n - int(a.sum()))) <= 1e-9
-            assert sol.kkt_residual <= _TOL
-        assert fallbacks >= 1
+            assert abs(sol.objective - 0.5 ** (n - int(a.sum()))) <= 1e-12
+            assert sol.kkt_residual <= 1e-12
+            if a.all():
+                assert len(calls) == checks and sol.iterations == 0
+                np.testing.assert_array_equal(sol.lambda_star, np.eye(1 << n)[0])
+
+    @pytest.mark.parametrize("pinned", [1.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52])
+    def test_pinned_generators_are_removed_before_the_solve(self, pinned, monkeypatch):
+        # two of five a_k are 1 (or within a rounding unit of it): every check solves
+        # the 3-generator record, so _certify sees 3 + 1 constraint rows, and its
+        # spectrum of 8 lands on the 8 indices with bits 1 and 3 clear
+        a = np.array([0.9, 1.0, 0.8, pinned, 0.85])
+        calls = self.spy_certify(monkeypatch)
+        sol = qp_min_purity(MeasurementRecord(5, a))
+        assert calls and all(rows == 4 for rows, _ in calls)
+        clear = [j for j in range(32) if not j & 0b01010]
+        np.testing.assert_array_equal(sol.lambda_star[clear], calls[-1][1])
+        assert not sol.lambda_star[[j for j in range(32) if j & 0b01010]].any()
+        assert sol.iterations == qp_min_purity(MeasurementRecord(3, a[[0, 2, 4]])).iterations
+        assert sol.kkt_residual <= 1e-12
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12, 1e-15, 3 * 2.0**-53])
+    def test_near_pinned_records_certify(self, gap):
+        # a_k = 1 - gap leaves a mass gap/2 on bit k = 1 that the sweep barely moves
+        # toward, so its support keeps bit k at 0 and solves singular; the
+        # best-scoring index joining the support supplies the missing eigenvalue
+        # (without it, a_k = 1 - 1e-10 swept on to the budget)
+        rng = np.random.default_rng(120)
+        for n in range(2, 8):
+            for _ in range(4):
+                a = rng.uniform(0.0, 1.0, n)
+                a[rng.choice(n, size=rng.integers(1, min(n, 3) + 1), replace=False)] = 1.0 - gap
+                rec = MeasurementRecord(n, a)
+                sol = qp_min_purity(rec)
+                assert sol.kkt_residual <= 1e-12
+                assert sol.iterations <= 200
+                if closed_form_is_optimal(rec):
+                    assert abs(sol.objective - min_purity(rec).p_min) <= 1e-12
+
+    def test_a_rounding_unit_below_1_is_pinned(self):
+        # a_6 = 1 - 2^-53 beside a_2 = 1 - 1e-14: left in the record, every check's
+        # active-set steps ended on a singular support until the sweep budget ran out
+        a = [0.3687581911353296, 0.99999999999999, 0.12648232484042066, 0.5032554426187286,
+             0.3337347061367202, 0.9999999999999999, 0.35183916279474026, 0.8254642039746487]
+        sol = qp_min_purity(MeasurementRecord(8, a))
+        assert sol.kkt_residual <= 1e-12
+        assert sol.iterations <= 200
+        assert not sol.lambda_star[[j for j in range(256) if j & 0b100000]].any()
 
     def test_pinned_record_certifies(self):
-        # a_8 = 1 keeps the optimum on bit 8 = 0, yet the support the re-polish
-        # reaches solves to a certified spectrum; Dykstra's residual test answered
-        # this record with ||B lambda - b|| = 1.0e-9 before the re-polish
+        # a_8 = 1 keeps the optimum on bit 8 = 0; that generator is removed before
+        # the solve, so the 7-generator record certifies (the support system of the
+        # full record was singular, and certified only through a lucky LU pivot)
         rng = np.random.default_rng(102)
         a = np.array(feasible_record(rng, 8).a)
         a[rng.integers(8)] = 1.0
         sol = qp_min_purity(MeasurementRecord(8, a))
         assert a.tolist().count(1.0) == 1
         assert sol.kkt_residual <= 1e-12
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_every_answer_is_certified(self, data):
+        # each a_k from [0, 1], some snapped to exactly 0 or 1 or drawn just below 1:
+        # pinned, binary, band and infeasible-gate records alike certify to 1e-12
+        n = data.draw(st.integers(1, 6))
+        near_one = st.floats(2.0**-53, 1e-6).map(lambda gap: 1.0 - gap)
+        value = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]), near_one)
+        rec = MeasurementRecord(n, data.draw(st.lists(value, min_size=n, max_size=n)))
+        sol = qp_min_purity(rec)
+        assert sol.kkt_residual <= 1e-12
+        assert sol.lambda_star.min() >= -1e-12
+        try:
+            closed = min_purity(rec).p_min
+        except InfeasibleRecord:
+            return
+        assert sol.objective <= closed + 1e-12
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sign-normalized"):
