@@ -252,7 +252,7 @@ def cmd_simulate(args) -> int:
             shots = int(args.shots)
         except ValueError as exc:
             raise MalformedInput(f"--shots must be an integer or 'exact', got {args.shots!r}") from exc
-        if not 1 <= shots < 2**63:  # numpy's binomial sampler takes an int64 count
+        if not 1 <= shots < 2**63:  # the binomial count is an int64, as in numpy
             raise MalformedInput("--shots must be between 1 and 2**63 - 1")
         record = sample_measurements(exact.a, shots, args.seed)
         meta.update({"shots": shots, "seed": args.seed, "rng": RNG_ALGORITHM})

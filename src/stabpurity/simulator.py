@@ -14,6 +14,9 @@ and the closed forms implemented below.  The decay law is cross-checked
 against the dense master-equation integrator in the oracle module, and the
 closed forms against the materialized 2^n spectrum in the tests.
 
+``sample_measurements`` draws finite-shot records from numpy's seeded
+binomial stream, reproduced bit for bit without numpy by the ``pcg64`` module.
+
 ``reference_table`` rebuilds the paper table behind ``reproduce-tables``: the
 estimated bounds against the exact values for dephased path graphs, n = 2..4,
 checked against 4-decimal reference values.
@@ -27,10 +30,11 @@ from typing import TYPE_CHECKING
 from .estimator import MeasurementRecord, binary_entropy, estimate_entropy, min_purity
 from .stabilizer import GraphSpec
 
-if TYPE_CHECKING:  # numpy loads only where a 2^n vector or a sample is made
+if TYPE_CHECKING:  # numpy loads only where a 2^n vector is made
     from .diagonal import CoeffVector
 
-#: Identifier of the pseudo-random stream, recorded in serialized output.
+#: Identifier of the pseudo-random stream, recorded in serialized output: the
+#: draws are numpy's ``default_rng(seed).binomial``, made by ``pcg64``.
 RNG_ALGORITHM = "numpy-pcg64"
 
 #: Reference values for the dephased-path summary at gamma*t = 0.1, keyed by n:
@@ -72,22 +76,26 @@ def sample_measurements(a_true, shots: int, seed: int) -> MeasurementRecord:
     """Finite-shot record for the true generator expectations ``a_true`` in [-1, 1].
 
     Each generator gets ``shots`` independent +-1 outcomes with
-    P(+1) = (1 + a_k)/2 from a PCG64 stream seeded with ``seed``; the record
-    holds the sample means and plug-in standard errors
-    sqrt((1 - ahat^2)/shots).  Identical arguments give identical records.
+    P(+1) = (1 + a_k)/2: the +1 counts are numpy's
+    ``default_rng(seed).binomial(shots, p)``, drawn by the pure-Python copy
+    of that stream in ``pcg64``.  The record holds the sample means and
+    plug-in standard errors sqrt((1 - ahat^2)/shots).  ``a_true`` may be a
+    scalar, a sequence or a numpy array.  Identical arguments give identical
+    records.
     """
-    import numpy as np
+    from .pcg64 import PCG64
 
-    if shots < 1:
-        raise ValueError("need at least one shot per generator")
-    a_true = np.atleast_1d(np.asarray(a_true, dtype=float))
-    if np.any(np.abs(a_true) > 1.0):
+    if not 1 <= shots < 2**63:
+        raise ValueError("need between 1 and 2**63 - 1 shots per generator")
+    values = a_true.tolist() if hasattr(a_true, "tolist") else a_true
+    a_true = [float(a) for a in (values if hasattr(values, "__iter__") else [values])]
+    if not all(abs(a) <= 1.0 for a in a_true):  # NaN fails this comparison too
         raise ValueError("true expectations must lie in [-1, 1]")
-    rng = np.random.default_rng(seed)
-    plus_counts = rng.binomial(shots, (1.0 + a_true) / 2.0)
-    a_hat = 2.0 * plus_counts / shots - 1.0
-    delta = np.sqrt(np.maximum(0.0, 1.0 - a_hat**2) / shots)
-    return MeasurementRecord(a_true.size, a_hat, delta)
+    rng = PCG64(seed)
+    plus_counts = [rng.binomial(shots, (1.0 + a) / 2.0) for a in a_true]
+    a_hat = [2.0 * k / shots - 1.0 for k in plus_counts]
+    delta = [math.sqrt(max(0.0, 1.0 - a * a) / shots) for a in a_hat]
+    return MeasurementRecord(len(a_true), a_hat, delta)
 
 
 def reference_table() -> dict:

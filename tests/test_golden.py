@@ -44,6 +44,14 @@ SIMULATE_RUNS = {
     "simulate-ring-6-shots": ["--graph", "ring-6", "--gamma-t", "0.3", "--shots", "1000", "--seed", "11"],
     "simulate-star-16-exact": ["--graph", "star-16", "--gamma-t", "0.05"],
     "simulate-star-16-shots": ["--graph", "star-16", "--gamma-t", "0.05", "--shots", "1000", "--seed", "3"],
+    # min(p, 1 - p) * shots <= 30: numpy's inversion branch
+    "simulate-path-5-shots-100": ["--graph", "path-5", "--gamma-t", "0.5", "--shots", "100", "--seed", "4294967296"],
+    # the largest int64 count, seeded past SeedSequence's pool of four words:
+    # BTPE with int64 wrap-around in numpy's C arithmetic
+    "simulate-ring-6-shots-max": [
+        "--graph", "ring-6", "--gamma-t", "2.0", "--shots", "9223372036854775807",
+        "--seed", "340282366920938463463374607431779213479",
+    ],
 }
 
 #: Runs whose stdout is the whole output.

@@ -1,4 +1,4 @@
-"""The package's import graph: a bare package, estimate, exact simulate,
+"""The package's import graph: a bare package, estimate, simulate,
 reproduce-tables and an oracle-check refusal without numpy, no module reaching
 into another's private names, and no module importing a name it never reads."""
 
@@ -85,11 +85,20 @@ class TestNoNumpy:
         assert _probe(argv) == {"code": 0, "numpy": False}
         assert (tmp_path / "m.truth.json").exists()
 
-    def test_sampled_simulate_still_uses_numpy(self, tmp_path):
-        # the probe itself works: a numpy path is reported as one
+    def test_sampled_simulate(self, tmp_path):
         argv = ["simulate", "--graph", "path-4", "--gamma-t", "0.1", "--shots", "100"]
         argv += ["--output", str(tmp_path / "m.json")]
-        assert _probe(argv) == {"code": 0, "numpy": True}
+        assert _probe(argv) == {"code": 0, "numpy": False}
+
+    def test_oracle_check_uses_numpy(self):
+        # the probe itself works: a numpy path is reported as one
+        assert _probe(["oracle-check", "--trials", "1", "--n-min", "2", "--n-max", "2"]) == {"code": 0, "numpy": True}
+
+    def test_estimate_never_loads_the_sampler(self):
+        # only simulate --shots compiles the pure-Python binomial stream
+        argv = ["estimate", "--input", str(GOLDEN_INPUTS / "n10.json"), "--json"]
+        proc = _python("-c", _PROBE + "print('stabpurity.pcg64' in sys.modules, file=sys.stderr)", *argv)
+        assert proc.stderr.strip().splitlines()[-1] == "False"
 
 
 def _private(name: str) -> bool:

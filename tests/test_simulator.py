@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabpurity.diagonal import eigenvalues, purity, twirl
 from stabpurity.estimator import MeasurementRecord, estimate_entropy, min_purity
 from stabpurity.oracle import master_equation_evolve
+from stabpurity.pcg64 import PCG64
 from stabpurity.simulator import (
     dephased_coefficients,
     exact_entropy_dephased,
@@ -22,6 +25,31 @@ class TestParams:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sample_measurements(np.ones(2), 0, 1)
+
+    def test_int64_overflowing_shots_rejected(self):
+        sample_measurements([0.5], 2**63 - 1, 1)
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            sample_measurements([0.5], 2**63, 1)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 1.5, 2.0, "7", None], ids=repr)
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            sample_measurements([0.5], 10, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert sample_measurements([0.5], 10, np.int64(3)) == sample_measurements([0.5], 10, 3)
+
+    def test_nan_expectation_rejected(self):
+        with pytest.raises(ValueError):
+            sample_measurements([0.5, math.nan], 10, 0)
+
+    @pytest.mark.parametrize(
+        "a_true",
+        [np.array([0.3]), np.float64(0.3), 0.3, [0.3], (0.3,), np.array(0.3)],
+        ids=["array", "numpy-scalar", "float", "list", "tuple", "0-d-array"],
+    )
+    def test_arrays_scalars_and_sequences_accepted(self, a_true):
+        assert sample_measurements(a_true, 1000, 5) == sample_measurements([0.3], 1000, 5)
 
 
 class TestDephasedCoefficients:
@@ -132,3 +160,81 @@ class TestSampling:
         est = min_purity(rec)
         assert est.p_lower <= est.p_min <= est.p_upper
         assert isinstance(rec, MeasurementRecord)
+
+
+#: Success probabilities on both sides of 1/2, the endpoints and 1/2 itself;
+#: with the counts below each non-trivial one reaches both of numpy's branches
+#: (inversion when min(p, 1 - p) * shots <= 30, BTPE otherwise).  Below 2**-53,
+#: 1 - p rounds to 1, so 1e-18 and 5e-18 need numpy's log1p(-p) in the
+#: inversion and its double-rounded counts in BTPE's final test.
+STREAM_PS = [0.0, 1e-18, 5e-18, 1e-9, 0.003, 0.25, 0.3, 0.5, 0.7, 0.75, 0.997, 1 - 1e-9, 1 - 2**-53, 1.0]
+#: 120 and 121 straddle the branch edge at p = 1/4 and 3/4, where p * 120 = 30
+#: exactly; 2**62 and above wrap numpy's int64 arithmetic inside BTPE.
+STREAM_SHOTS = [1, 120, 121, 100, 10**3, 10**4, 10**9, 2**62, 2**63 - 1]
+#: 2**32 takes two entropy words; 2**130 + 12345 takes five, one more than
+#: SeedSequence's pool, so it also runs the loop over the words beyond it.
+STREAM_SEEDS = [0, 1, 2**32, 2**130 + 12345]
+
+
+def _pure_python_draws(seed, shots, ps):
+    rng = PCG64(seed)
+    return [rng.binomial(shots, p) for p in ps]
+
+
+class TestNumpyStream:
+    """``pcg64`` reproduces ``numpy.random.default_rng(seed).binomial`` bit for bit."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_raw_outputs_match(self, seed):
+        rng = PCG64(seed)
+        assert [rng.next_uint64() for _ in range(64)] == np.random.PCG64(seed).random_raw(64).tolist()
+
+    @pytest.mark.parametrize("shots", STREAM_SHOTS)
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_binomial_grid_matches(self, seed, shots):
+        ps = STREAM_PS * 8
+        want = np.random.default_rng(seed).binomial(shots, ps).tolist()
+        assert _pure_python_draws(seed, shots, ps) == want
+
+    @given(
+        seed=st.integers(0, 2**160),
+        shots=st.one_of(st.integers(1, 2000), st.integers(1, 2**63 - 1), st.integers(2**62, 2**63 - 1)),
+        ps=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=8),
+    )
+    @settings(max_examples=400)
+    def test_binomial_property(self, seed, shots, ps):
+        want = np.random.default_rng(seed).binomial(shots, ps).tolist()
+        assert _pure_python_draws(seed, shots, ps) == want
+
+    @pytest.mark.parametrize("shots", [2**62 + 600, 5075793644044286925, 8280012408355330605])
+    def test_huge_counts_with_small_means_match(self, shots):
+        # means of 500 to 10^4 reach BTPE's final test, whose counts numpy
+        # rounds to doubles before adding; with these low bits the rounding
+        # order decides some draws
+        ps = [p for mean in (500, 1500, 3466, 10**4) for p in (mean / shots, 1 - mean / shots)] * 50
+        want = np.random.default_rng(5).binomial(shots, ps).tolist()
+        assert _pure_python_draws(5, shots, ps) == want
+
+    def test_zero_v_in_an_exponential_tail_is_rejected(self):
+        # numpy's C code takes log(0) = -inf there and rejects the proposal;
+        # u = 0.95 and 0.99 fall in the left and right tails of n = 1000,
+        # p = 0.3, and u = 0 in the triangle, which accepts at once
+        class Scripted(PCG64):
+            def __init__(self, doubles):
+                self.doubles = iter(doubles)
+
+            def next_double(self):
+                return next(self.doubles)
+
+        triangle = Scripted([0.0, 0.5]).btpe(1000, 0.3)
+        assert Scripted([0.95, 0.0, 0.0, 0.5]).btpe(1000, 0.3) == triangle
+        assert Scripted([0.99, 0.0, 0.0, 0.5]).btpe(1000, 0.3) == triangle
+
+    def test_sampled_record_matches_numpy_draws(self):
+        a_true = np.array([0.9, -0.4, 0.0, 1.0, -1.0])
+        shots, seed = 4321, 2**70 + 1
+        plus = np.random.default_rng(seed).binomial(shots, (1.0 + a_true) / 2.0)
+        a_hat = 2.0 * plus / shots - 1.0
+        rec = sample_measurements(a_true, shots, seed)
+        assert rec.a == tuple(a_hat.tolist())
+        assert rec.delta_a == tuple(np.sqrt(np.maximum(0.0, 1.0 - a_hat**2) / shots).tolist())
