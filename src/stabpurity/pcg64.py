@@ -94,6 +94,8 @@ class PCG64:
     """numpy's PCG64 bit generator as ``numpy.random.default_rng(seed)`` seeds it."""
 
     def __init__(self, seed):
+        # PCG's srandom: inc = 2 * stream + 1, then two LCG steps from state 0
+        # with the seed added in between
         s_hi, s_lo, i_hi, i_lo = seed_state(seed)
         self.inc = ((i_hi << 64 | i_lo) << 1 | 1) & MASK128
         self.state = ((self.inc + (s_hi << 64 | s_lo)) * MULTIPLIER + self.inc) & MASK128
