@@ -34,8 +34,9 @@ import math
 import sys
 
 from . import __version__
-from .errors import CertificateInvalid, InfeasibleRecord
 from .estimator import (
+    CertificateInvalid,
+    InfeasibleRecord,
     MeasurementRecord,
     estimate_entropy,
     kkt_certificate,
@@ -196,7 +197,12 @@ def _print_report(report: dict, out) -> None:
     print(f"lambda0          = {fmt(report['lambda0'])}", file=out)
     print(f"s_lower          = {fmt(report['s_lower'])}", file=out)
     print(f"s_max            = {fmt(report['s_max'])}", file=out)
-    print(f"certificate      = {report['certificate']}", file=out)
+    cert = report["certificate"]
+    if cert["valid"] is None:
+        verdict = f"skipped ({cert['skipped']})"
+    else:
+        verdict = f"{'valid' if cert['valid'] else 'not valid'}, min_mu = {fmt(cert['min_mu'])}"
+    print(f"certificate      = {verdict}", file=out)
     for w in report["warnings"]:
         print(f"warning: {w}", file=out)
 
@@ -307,13 +313,6 @@ def cmd_reproduce_tables(args) -> int:
     return 0 if table["all_match"] else 3
 
 
-def _oracle():
-    """The oracle module, loaded on first use: it brings numpy, which estimate never needs."""
-    from . import oracle
-
-    return oracle
-
-
 def replay_instance(doc) -> dict:
     """Recompute the deviation of a serialized failing instance.
 
@@ -321,7 +320,7 @@ def replay_instance(doc) -> dict:
     with a known ``kind``, ``n`` in 1..DENSE_CAP (10), and either ``a`` (n numbers
     in [0, 1]) or, for the integrator, a ``gamma_t`` in [0, MAX_GAMMA_T].
     """
-    oracle = _oracle()
+    from . import oracle  # brings numpy, which estimate never needs
     if not isinstance(doc, dict):
         raise MalformedInput("field '<file>': top-level value must be an object")
     kind = doc.get("kind")
@@ -350,7 +349,7 @@ def cmd_oracle_check(args) -> int:
         raise MalformedInput("--seed must be nonnegative")
     if args.trials < 0:
         raise MalformedInput("--trials must be nonnegative")
-    oracle = _oracle()  # after the option checks, so a refusal loads no numpy
+    from . import oracle  # after the option checks, so a refusal loads no numpy
     summary = oracle.run_oracle_trials(args.trials, args.n_min, args.n_max, args.seed)
     tolerance = oracle.TOLERANCES
     failure = summary.pop("failure")

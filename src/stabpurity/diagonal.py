@@ -8,6 +8,8 @@ c[0] = 1 by normalization.  Its eigenvalues are the signed averages
 
 a Walsh-Hadamard transform, computed here as an in-place butterfly in
 O(n 2^n).  The inverse is the same transform without the 2^{-n} factor.
+``dephased_coefficients`` builds c[i] = exp(-gamma_t popcount(i)), a dephased
+graph state; its O(n) closed forms are in the simulator module.
 
 A dense state is read into that form by CZ conjugation (Hein, Eisert &
 Briegel, PRA 69, 062311, 2004).  The graph state is U|+>^n with
@@ -22,8 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenseCapExceeded, NonUnitTrace
 from .stabilizer import DENSE_CAP, GraphSpec
+
+
+class DenseCapExceeded(Exception):
+    """Raised when an operation would materialize a 2^n-sized object above DENSE_CAP."""
+
+    def __init__(self, n: int, what: str):
+        super().__init__(f"{what} requires n <= {DENSE_CAP}, got n = {n}")
 
 
 def _frozen(values) -> np.ndarray:
@@ -51,6 +59,13 @@ class CoeffVector:
         _check_length(self.n, self.values, "coefficient vector")
         if abs(self.values[0] - 1.0) > 1e-9:
             raise ValueError(f"c[0] must be 1 (unit trace), got {self.values[0]!r}")
+
+
+def dephased_coefficients(graph: GraphSpec, gamma_t: float) -> CoeffVector:
+    """Coefficient vector exp(-gamma_t popcount(i)) of the dephased graph state."""
+    idx = np.arange(1 << graph.n)
+    weights = np.bitwise_count(idx).astype(float)
+    return CoeffVector(graph.n, np.exp(-gamma_t * weights))
 
 
 @dataclass(frozen=True)
@@ -115,16 +130,16 @@ def twirl(rho: np.ndarray, graph: GraphSpec) -> CoeffVector:
 
     one gather over all (i, k) pairs, summed in the dtype of rho.  The real
     part is tr(rho S_i) only for Hermitian rho, so this requires unit trace
-    and max|rho - rho^dagger| <= 1e-9, and raises ValueError past the latter.
+    and max|rho - rho^dagger| <= 1e-9, and raises ValueError past either.
     """
     if graph.n > DENSE_CAP:
-        raise DenseCapExceeded(graph.n, DENSE_CAP, "twirl")
+        raise DenseCapExceeded(graph.n, "twirl")
     dim = 1 << graph.n
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix, got {rho.shape}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-9:
-        raise NonUnitTrace(f"trace {tr:.12g} differs from 1 by more than 1e-9")
+        raise ValueError(f"trace {tr:.12g} differs from 1 by more than 1e-9")
     skew = float(np.abs(rho - rho.conj().T).max())
     if skew > 1e-9:
         raise ValueError(f"rho is not Hermitian: max|rho - rho^dagger| = {skew:.3g} above 1e-9")

@@ -41,11 +41,41 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Optional
 
-from .errors import CertificateInvalid, InfeasibleRecord
 from .stabilizer import GraphSpec
 
 #: Slack on exact arithmetic comparisons (feasibility, optimality boundary).
 _EXACT_TOL = 1e-12
+
+
+class InfeasibleRecord(Exception):
+    """Measurement record violates the closed-form feasibility gate (lambda_0 < 0)."""
+
+    def __init__(self, lambda0: float, n: int):
+        self.lambda0 = lambda0
+        self.n = n
+        super().__init__(
+            f"sum(a) = {2 * lambda0 + n - 2:.6g} < n - 2 = {n - 2}: the closed-form "
+            f"candidate state has lambda_0 = {lambda0:.6g} < 0; use the numeric solver "
+            f"for small n instead"
+        )
+
+
+class CertificateInvalid(Exception):
+    """The closed form's inequality multipliers are not all nonnegative.
+
+    Carries the offending index (a bitmask over generators) and the
+    certificate, whose ``min_mu`` is the most negative multiplier, so callers
+    can still inspect it.
+    """
+
+    def __init__(self, index: int, certificate):
+        self.index = index
+        self.certificate = certificate
+        super().__init__(
+            f"optimality certificate failed: mu >= 0 at index {index:#x} "
+            f"(value = {certificate.min_mu:.6g}); the closed-form purity is an upper bound but "
+            f"may exceed the true minimum for this record"
+        )
 
 
 def _floats(values, n: int, name: str) -> tuple:

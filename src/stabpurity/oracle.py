@@ -95,10 +95,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonal import twirl
-from .errors import DenseCapExceeded, NotConverged
+from .diagonal import DenseCapExceeded, dephased_coefficients, twirl
 from .estimator import MeasurementRecord, closed_form_is_optimal, estimate_entropy, min_purity
-from .simulator import dephased_coefficients
 from .stabilizer import DENSE_CAP, GraphSpec
 
 #: Iterations between convergence checks.
@@ -111,6 +109,13 @@ _CERT_TOL = 1e-12
 MAX_GAMMA_T = 30.0
 #: Largest deviation of a closed form from its numeric check, per check kind.
 TOLERANCES = {"qp": 1e-12, "entropy": 1e-12, "integrator": 1e-8}
+
+
+class NotConverged(Exception):
+    """Iterative solver hit its iteration cap before reaching tolerance."""
+
+    def __init__(self, iterations: int, residual: float):
+        super().__init__(f"no convergence after {iterations} iterations (residual {residual:.3g})")
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,7 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     never empty on [0, 1]^n: the product spectrum prod_k (1 +- a_k)/2 fits it.
     """
     if record.n > DENSE_CAP:
-        raise DenseCapExceeded(record.n, DENSE_CAP, "numeric quadratic program")
+        raise DenseCapExceeded(record.n, "numeric quadratic program")
     _require_unit_interval(record.a)
     full, full_b = _sign_matrix(record.n), np.concatenate(([1.0], record.a))
     free = np.concatenate(([True], full_b[1:] < 1.0 - np.finfo(float).eps))  # sum row, unpinned a_k
@@ -249,7 +254,7 @@ def max_entropy_numeric(record: MeasurementRecord) -> tuple[np.ndarray, float]:
     Returns (lambda_star, s_max).
     """
     if record.n > DENSE_CAP:
-        raise DenseCapExceeded(record.n, DENSE_CAP, "numeric entropy maximization")
+        raise DenseCapExceeded(record.n, "numeric entropy maximization")
     _require_unit_interval(record.a)
     lam = np.array([1.0])
     for ak in record.a:
@@ -336,7 +341,7 @@ def master_equation_evolve(
     entry, so a finite bound there keeps every intermediate finite.
     """
     if graph.n > DENSE_CAP:
-        raise DenseCapExceeded(graph.n, DENSE_CAP, "master-equation integration")
+        raise DenseCapExceeded(graph.n, "master-equation integration")
     if gamma < 0.0 or t < 0.0:
         raise ValueError("gamma and t must be nonnegative")
     gt = gamma * t

@@ -10,9 +10,9 @@ graph state decays as
     c[i] = exp(-gamma_t popcount(i)),
 
 giving the product spectrum lambda_j = prod_k (1 + (-1)^{j_k} e^{-gamma_t})/2
-and the closed forms implemented below.  The decay law is cross-checked
-against the dense master-equation integrator in the oracle module, and the
-closed forms against the materialized 2^n spectrum in the tests.
+and the closed forms implemented below.  ``diagonal.dephased_coefficients``
+builds that 2^n vector, which the oracle module checks against its dense
+master-equation integrator; the tests check the closed forms against it.
 
 ``sample_measurements`` draws finite-shot records from numpy's seeded
 binomial stream, reproduced bit for bit without numpy by the ``pcg64`` module.
@@ -25,13 +25,9 @@ checked against 4-decimal reference values.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .estimator import MeasurementRecord, binary_entropy, estimate_entropy, min_purity
 from .stabilizer import GraphSpec
-
-if TYPE_CHECKING:  # numpy loads only where a 2^n vector is made
-    from .diagonal import CoeffVector
 
 #: Identifier of the pseudo-random stream, recorded in serialized output: the
 #: draws are numpy's ``default_rng(seed).binomial``, made by ``pcg64``.
@@ -44,17 +40,6 @@ RNG_ALGORITHM = "numpy-pcg64"
 PURITY_REFERENCE = {2: (0.8269, 0.8233, 0.0044), 3: (0.7520, 0.7417, 0.0137), 4: (0.6838, 0.6646, 0.0281)}
 ENTROPY_REFERENCE = {2: (0.3827, 0.3803, 0.0063), 3: (0.5740, 0.5667, 0.0127), 4: (0.7653, 0.7505, 0.0193)}
 TABLES_GAMMA_T = 0.1
-
-
-def dephased_coefficients(graph: GraphSpec, gamma_t: float) -> CoeffVector:
-    """Coefficient vector exp(-gamma_t popcount(i)) of the dephased graph state."""
-    import numpy as np
-
-    from .diagonal import CoeffVector
-
-    idx = np.arange(1 << graph.n)
-    weights = np.bitwise_count(idx).astype(float)
-    return CoeffVector(graph.n, np.exp(-gamma_t * weights))
 
 
 def exact_record(graph: GraphSpec, gamma_t: float) -> MeasurementRecord:

@@ -17,10 +17,10 @@ import time
 
 import numpy as np
 
-from stabpurity.diagonal import CoeffVector, coefficients, eigenvalues, purity, twirl
+from stabpurity.diagonal import CoeffVector, coefficients, dephased_coefficients, eigenvalues, purity, twirl
 from stabpurity.estimator import MeasurementRecord, estimate_entropy, kkt_certificate, min_purity
 from stabpurity.oracle import master_equation_evolve, max_entropy_numeric, qp_min_purity
-from stabpurity.simulator import dephased_coefficients, reference_table, sample_measurements
+from stabpurity.simulator import reference_table, sample_measurements
 from stabpurity.stabilizer import GraphSpec
 from support import dense_kkt, feasible_record, optimal_record
 

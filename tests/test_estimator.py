@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from stabpurity.cli import build_report
 from stabpurity.diagonal import CoeffVector, Spectrum, coefficients, eigenvalues, purity
-from stabpurity.errors import CertificateInvalid, InfeasibleRecord
 from stabpurity.estimator import (
+    CertificateInvalid,
+    InfeasibleRecord,
     MeasurementRecord,
     binary_entropy,
     closed_form_is_optimal,

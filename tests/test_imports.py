@@ -1,6 +1,7 @@
 """The package's import graph: a bare package, estimate, simulate,
-reproduce-tables and an oracle-check refusal without numpy, no module reaching
-into another's private names, and no module importing a name it never reads."""
+reproduce-tables and an oracle-check refusal without numpy, numpy imported by
+the dense modules alone, no module reaching into another's private names, and
+no module importing a name it never reads."""
 
 import ast
 import builtins
@@ -118,6 +119,22 @@ def test_no_module_imports_another_modules_private_name():
                     if alias.name.startswith("stabpurity") and any(map(_private, alias.name.split(".")))
                 ]
     assert offences == []
+
+
+def test_only_diagonal_and_oracle_import_numpy():
+    # at any depth: a function-level or TYPE_CHECKING import counts as well
+    importers = set()
+    for path in Path(stabpurity.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                importers.add(path.name)
+    assert sorted(importers) == ["diagonal.py", "oracle.py"]
 
 
 def test_no_module_imports_an_unused_name():

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabpurity import oracle
-from stabpurity.diagonal import twirl
-from stabpurity.errors import DenseCapExceeded, InfeasibleRecord, NotConverged
+from stabpurity.diagonal import DenseCapExceeded, twirl
 from stabpurity.estimator import (
+    InfeasibleRecord,
     MeasurementRecord,
     binary_entropy,
     closed_form_is_optimal,
@@ -19,6 +19,7 @@ from stabpurity.oracle import (
     _CHECK_EVERY,
     MAX_GAMMA_T,
     TOLERANCES,
+    NotConverged,
     _certify,
     _polish,
     _rk4_run,

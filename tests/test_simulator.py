@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabpurity.diagonal import eigenvalues, purity, twirl
+from stabpurity.diagonal import dephased_coefficients, eigenvalues, purity, twirl
 from stabpurity.estimator import MeasurementRecord, estimate_entropy, min_purity
 from stabpurity.oracle import master_equation_evolve
 from stabpurity.pcg64 import PCG64
 from stabpurity.simulator import (
-    dephased_coefficients,
     exact_entropy_dephased,
     exact_purity_dephased,
     exact_record,
