@@ -4,8 +4,8 @@ Everything here trades efficiency for independence: the quadratic program is
 solved by accelerated alternating projections in the full 2^n eigenvalue
 space, the maximum-entropy problem by one-dimensional root finding, and the
 dephasing channel by Runge-Kutta integration of the dense density matrix's
-master equation, one scalar float run per Hamming distance between the
-entry's row and column with the sign of the initial entry restored exactly.
+master equation, one scalar float run per nonzero Hamming distance between
+the entry's row and column with the sign of the initial entry restored exactly.
 None of these paths share formulas with the estimator module they are used
 to check.
 
@@ -47,9 +47,9 @@ x + p + q = 0 hold by construction, so
 is the whole KKT system violation of the sweep's point (NotConverged reports it).
 
 Certified polish.  The sweep finds the support of the optimum long before it
-settles the last digits, so every ``_CHECK_EVERY`` = 10 sweeps the loop first
-tries the exact-on-support step of active-set NNLS (Lawson & Hanson 1974,
-ch. 23).  With S = {j : (B^T nu)_j > 0} it solves the (n+1) x (n+1) system
+settles the last digits, so after every sweep the loop first tries the
+exact-on-support step of active-set NNLS (Lawson & Hanson 1974, ch. 23).
+With S = {j : (B^T nu)_j > 0} it solves the (n+1) x (n+1) system
 
     (B_S B_S^T) nu_S = b,    lambda_S = B_S^T nu_S,   lambda = 0 off S,
 
@@ -66,12 +66,12 @@ check re-solves there: the step iterated as a primal-dual active set method
 exactly 0 stays in S', so that ties do not cycle: on the mixed 2-qubit record
 S = {0, 1, 2} solves to (0, 1/2, 1/2, 0) with score 1 at j = 3, and S' is
 the whole optimum support, where {j : score > 0} = {1, 2, 3} would solve back
-to {0, 1, 2}.  The support the sweep has after 10 sweeps is only a few such
-steps from the optimum's.  The re-solves end at the first certified
-spectrum, or when S' = S, when a system is singular, or after n + 1 solves,
-the dual dimension.  Then the off-S index of highest score joins S, as in
-Lawson & Hanson's outer loop, and the re-solves start over, n + 1 rounds
-at most before another ``_CHECK_EVERY`` sweeps run.  This is for an a_k just
+to {0, 1, 2}.  The support after the first sweep, {j : (B^T b)_j > 0}, is
+only a few such steps from the optimum's.  The re-solves end at the first
+certified spectrum, or when S' = S, when a system is singular, or after
+n + 1 solves, the dual dimension.  Then the off-S index of highest score
+joins S, as in Lawson & Hanson's outer loop, and the re-solves start over,
+n + 1 rounds at most before the next sweep runs.  This is for an a_k just
 below 1: its tiny mass (1 - a_k)/2 on bit k = 1 lies along a nearly flat
 dual direction, so the sweep's S keeps bit k at 0, where row k of B_S
 repeats the all-ones row and the system is singular.  Within a rounding unit
@@ -99,9 +99,7 @@ from .diagonal import DenseCapExceeded, dephased_coefficients, twirl
 from .estimator import MeasurementRecord, closed_form_is_optimal, estimate_entropy, min_purity
 from .stabilizer import DENSE_CAP, GraphSpec
 
-#: Iterations between convergence checks.
-_CHECK_EVERY = 10
-#: QP iteration budget.
+#: QP sweep budget.
 _MAX_ITER = 10**6
 #: Slack of each KKT condition the polished spectrum must meet.
 _CERT_TOL = 1e-12
@@ -133,8 +131,7 @@ def _sign_matrix(n: int) -> np.ndarray:
     idx = np.arange(1 << n)
     rows = np.empty((n + 1, 1 << n))
     rows[0] = 1.0
-    for k in range(n):
-        rows[k + 1] = 1.0 - 2.0 * ((idx >> k) & 1)
+    rows[1:] = 1.0 - 2.0 * ((idx >> np.arange(n)[:, None]) & 1)
     return rows
 
 
@@ -145,7 +142,7 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     forces lambda_j = 0 wherever bit k of j is set, so it is removed and the
     rest of the record fills, in ascending order, the indices with every
     pinned bit clear (lambda_0 = 1 if all are pinned).  ``iterations`` counts
-    that reduced record's sweeps, a multiple of ``_CHECK_EVERY``, not its
+    that reduced record's sweeps, one per certification check, not its
     support solves.  ``kkt_residual`` is ||B lambda - b||_inf on the full
     record: the polish's ``_CERT_TOL``, plus at most 2^-52 on a pinned row.
     Raises NotConverged past ``_MAX_ITER`` sweeps.  The constraint set is
@@ -165,15 +162,14 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     step_rows, step_b = rows / dim, b / dim
     nu = y = np.zeros(len(b))
     t, iterations = 1.0, 0
-    while iterations < _MAX_ITER:
-        for _ in range(_CHECK_EVERY):  # one accelerated dual sweep (module docstring)
-            nxt = y + step_b - step_rows @ np.maximum(rows.T @ y, 0.0)
-            if np.dot(nxt - nu, nxt - y) < 0.0:  # gradient restart
-                t = 1.0
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = nxt + ((t - 1.0) / t_next) * (nxt - nu)
-            nu, t = nxt, t_next
-        iterations += _CHECK_EVERY
+    while iterations < _MAX_ITER:  # one accelerated dual sweep (module docstring)
+        nxt = y + step_b - step_rows @ np.maximum(rows.T @ y, 0.0)
+        if np.dot(nxt - nu, nxt - y) < 0.0:  # gradient restart
+            t = 1.0
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = nxt + ((t - 1.0) / t_next) * (nxt - nu)
+        nu, t = nxt, t_next
+        iterations += 1
         scores = rows.T @ nu
         support = scores > 0.0
         for _ in range(len(b)):
@@ -227,20 +223,20 @@ def _require_unit_interval(a) -> None:
 
 def _solve_tanh(target: float) -> float:
     """Monotone bisection for tanh(theta) = target, target in [0, 1)."""
-    lo, hi = 0.0, 1.0
-    while math.tanh(hi) < target:
+    tanh, lo, hi = math.tanh, 0.0, 1.0
+    while tanh(hi) < target:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if math.tanh(mid) < target:
+        if tanh(mid) < target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
+        if hi - lo <= (1e-15 * hi if hi > 1.0 else 1e-15):  # the float 1e-15 * max(1.0, hi)
             break
     theta = 0.5 * (lo + hi)
-    if abs(math.tanh(theta) - target) > 1e-12:
-        raise NotConverged(200, abs(math.tanh(theta) - target))
+    if abs(tanh(theta) - target) > 1e-12:
+        raise NotConverged(200, abs(tanh(theta) - target))
     return theta
 
 
@@ -319,17 +315,19 @@ def master_equation_evolve(
     Because the step is elementwise, each entry evolves on its own.  Every
     amplitude of the CZ-circuit state is the same float 2^(-n/2) up to an
     exact sign, so every entry of rho_0 is +-|psi_0|^2, and the entry's rate
-    depends on d alone.  The integration therefore runs once per d = 0..n,
+    depends on d alone.  The integration therefore runs once per d = 1..n,
     as a plain Python ``float`` run of :func:`_rk4_run` from |psi_0|^2, and
-    the n + 1 ends are scattered back to the 2^n x 2^n matrix by d, each
-    with the sign of rho_0.  That is the same matrix as stepping every entry
-    as an array, bit for bit: a numpy elementwise operation and the Python
-    float operation are each one correctly rounded IEEE double operation,
-    done in the same order; round-to-nearest is odd-symmetric, so the run
-    from -|rho_0| is exactly the negation of the run from |rho_0|; and
-    multiplying by +-1.0 is exact.  The rate is formed as (gamma/2) times
+    the n + 1 ends, with |psi_0|^2 itself at d = 0, are scattered back to
+    the 2^n x 2^n matrix by d, each with the sign of rho_0.  That is the same
+    matrix as stepping every entry as an array, bit for bit: a numpy
+    elementwise operation and the Python float operation are each one
+    correctly rounded IEEE double operation, done in the same order;
+    round-to-nearest is odd-symmetric, so the run from -|rho_0| is exactly
+    the negation of the run from |rho_0|; and multiplying by +-1.0 is exact.  The rate is formed as (gamma/2) times
     the float -2d, which is +0.0 at d = 0 like the dense sum of
-    z_i z_i^T - 1 terms.
+    z_i z_i^T - 1 terms; at rate +0.0 every k of a run is 0.0 and each step
+    adds (dt/6) * 0.0, so the run from |psi_0|^2 would return it unchanged,
+    and the diagonal keeps it without one.
 
     gamma*t is capped at ``MAX_GAMMA_T`` = 30, which bounds the default step
     count by 30,000.  Past gamma*t = ln(1e8) ~ 18.4 every off-diagonal
@@ -358,7 +356,8 @@ def master_equation_evolve(
     rho = np.outer(psi, psi)
     if gt != 0.0:
         x, dt = float(abs(psi[0])) * float(abs(psi[0])), t / steps
-        ends = np.array([_rk4_run(x, (gamma / 2.0) * float(-2 * d), dt, steps) for d in range(graph.n + 1)])
+        # d = 0 keeps x: at rate +0.0 every k is 0.0, and x + sixth * 0.0 is x
+        ends = np.array([x] + [_rk4_run(x, (gamma / 2.0) * float(-2 * d), dt, steps) for d in range(1, graph.n + 1)])
         k = np.arange(1 << graph.n)
         rho = np.where(rho < 0.0, -1.0, 1.0) * ends[np.bitwise_count(k[:, None] ^ k)]
     return rho.astype(complex)

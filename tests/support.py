@@ -1,5 +1,7 @@
 """Shared record/graph samplers for the test suite."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -122,6 +124,27 @@ def rk4_reference(rho, rate, dt: float, steps: int):
         k4 = rate * (rho + dt * k3)
         rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return rho
+
+
+def bisect_tanh_reference(target: float) -> float:
+    """Bisection for tanh(theta) = target, target in [0, 1): the test suite's copy.
+
+    Written out apart from ``oracle._solve_tanh``, with ``math.tanh`` and the
+    stop ``1e-15 * max(1.0, hi)``, it pins the bits of every max-entropy
+    parameter the oracle computes.
+    """
+    lo, hi = 0.0, 1.0
+    while math.tanh(hi) < target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if math.tanh(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
 
 
 def kron_group(graph: GraphSpec) -> list[np.ndarray]:

@@ -1,12 +1,15 @@
 """The package's import graph: a bare package, estimate, simulate,
 reproduce-tables and an oracle-check refusal without numpy, numpy imported by
-the dense modules alone, no module reaching into another's private names, and
-no module importing a name it never reads."""
+the dense modules alone, no module reaching into another's private names, no
+module importing a name it never reads, and no docstring naming a private name
+its module lacks."""
 
 import ast
 import builtins
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -176,6 +179,20 @@ def test_every_exception_attribute_is_read():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(f"{cls}.{attr}" for cls, attr in stored if attr not in read) == []
+
+
+def test_docstrings_name_only_existing_private_names():
+    """A double-backquoted private name (``_name``) in a docstring of a package
+    module is an attribute of that module, so a removed constant or helper
+    leaves no stale reference behind."""
+    stale = []
+    for path in sorted(Path(stabpurity.__file__).parent.glob("*.py")):
+        module = importlib.import_module("stabpurity" if path.stem == "__init__" else f"stabpurity.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = re.findall(r"``(_\w+)``", ast.get_docstring(node) or "")
+                stale += [f"{path.name}: {name}" for name in names if not hasattr(module, name)]
+    assert stale == []
 
 
 def test_readme_library_example_runs():

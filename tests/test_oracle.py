@@ -16,7 +16,6 @@ from stabpurity.estimator import (
     min_purity,
 )
 from stabpurity.oracle import (
-    _CHECK_EVERY,
     MAX_GAMMA_T,
     TOLERANCES,
     NotConverged,
@@ -33,6 +32,7 @@ from stabpurity.oracle import (
 )
 from stabpurity.stabilizer import DENSE_CAP, GraphSpec
 from support import (
+    bisect_tanh_reference,
     dense_dephasing_rate,
     feasible_record,
     infeasible_record,
@@ -59,7 +59,7 @@ def primal_dykstra(rec):
     b = np.concatenate(([1.0], rec.a))
     x, p, q = np.zeros(dim), np.zeros(dim), np.zeros(dim)
     while True:
-        for _ in range(_CHECK_EVERY):
+        for _ in range(10):  # sweeps between stopping checks
             u = x + p
             y = u - rows.T @ (rows @ u - b) / dim
             p = u - y
@@ -259,8 +259,8 @@ class TestQp:
 
     def test_not_converged_past_budget(self, monkeypatch):
         monkeypatch.setattr(oracle, "_certify", lambda *args: None)
-        monkeypatch.setattr(oracle, "_MAX_ITER", 2 * _CHECK_EVERY)
-        with pytest.raises(NotConverged):
+        monkeypatch.setattr(oracle, "_MAX_ITER", 20)  # sweeps
+        with pytest.raises(NotConverged, match="after 20 iterations"):
             qp_min_purity(record(0.9, 0.85, 0.8, 0.95))
 
     def test_cap(self):
@@ -361,13 +361,13 @@ class TestPolish:
 
     @pytest.mark.parametrize("n", range(2, DENSE_CAP + 1))
     def test_certified_at_first_check(self, n):
-        # the support of the first 10 sweeps is a few re-polishes from the optimum's
+        # the support of the first sweep is a few re-polishes from the optimum's
         rng = np.random.default_rng(110 + n)
         records = [sample(rng, n) for sample in (optimal_record, suboptimal_record) for _ in range(3)]
         records += [infeasible_record(rng, n) for _ in range(3)] if n >= 3 else []
         for rec in records:
             sol = qp_min_purity(rec)
-            assert sol.iterations == _CHECK_EVERY
+            assert sol.iterations == 1
             assert sol.kkt_residual <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, DENSE_CAP + 1))
@@ -434,6 +434,13 @@ class TestMaxEntropy:
                 p_zero = 1.0 if ak >= 1.0 else 1.0 / (1.0 + math.exp(-2.0 * _solve_tanh(ak)))
                 expected = np.kron(np.array([p_zero, 1.0 - p_zero]), expected)
             assert np.array_equal(max_entropy_numeric(rec)[0], expected)
+
+    def test_bisection_matches_the_reference_bit_for_bit(self):
+        # the spectrum test above builds its expectation with _solve_tanh itself;
+        # this pins the bisection's bits against the test suite's own copy
+        draws = np.random.default_rng(5700).uniform(0.0, 1.0, 200).tolist()
+        targets = [0.0, 1e-300, *draws, *(1.0 - 10.0**-k for k in range(1, 16)), 1.0 - 2.0**-53]
+        assert [_solve_tanh(x) for x in targets] == [bisect_tanh_reference(x) for x in targets]
 
     def test_cap(self):
         with pytest.raises(DenseCapExceeded):
@@ -539,7 +546,8 @@ class TestIntegrator:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_one_float_run_per_distance(self, n, monkeypatch):
-        # a graph state has one |rho_0| and n + 1 rates, so n + 1 scalar runs
+        # a graph state has one |rho_0| and n + 1 rates; the rate +0.0 at d = 0
+        # leaves |rho_0| unchanged, so n scalar runs, and the diagonal is |psi_0|^2
         calls = []
 
         def counted(x, rate, dt, steps):
@@ -550,10 +558,15 @@ class TestIntegrator:
         for kind in ("path", "ring", "star"):
             for gamma, t, steps in ((1.0, 0.1, None), (0.37, 0.5, 250)):
                 calls.clear()
-                master_equation_evolve(GraphSpec.preset(f"{kind}-{n}"), gamma, t, steps)
+                graph = GraphSpec.preset(f"{kind}-{n}")
+                rho = master_equation_evolve(graph, gamma, t, steps)
                 expected_steps = steps or max(100, math.ceil(1000.0 * gamma * t))
-                assert len(calls) == n + 1
+                assert len(calls) == n
                 assert set(calls) == {(float, float, float, expected_steps)}
+                psi = graph_state_vector(graph)
+                assert np.array_equal(rho.diagonal(), np.outer(psi, psi.conj()).diagonal())
+                if n % 2 == 0:  # 2^(-n/2) is exact, so |psi_0|^2 is 2^-n
+                    assert (rho.diagonal() == 2.0**-n).all()
 
     def test_rejects_overflowing_rates(self):
         # gamma*t is small but the rates or the RK4 sum overflow; both once gave nan entries
