@@ -25,8 +25,6 @@ pairwise-sum warning to its edges; meta must hold no NaN or infinity, which
 the JSON report could not carry).
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import json

@@ -18,8 +18,6 @@ U X_a U = K_a, so every group element is S_i = U X^i U: a real signed
 permutation, and tr(rho S_i) = sum_k u_k u_{k^i} rho[k^i, k] for Hermitian rho.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +47,8 @@ def _check_length(n: int, values: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class CoeffVector:
-    """Stabilizer-basis coefficients of a state; index bit k selects generator k."""
+    """Stabilizer-basis coefficients of a state; index bit k selects generator k.
+    A dataclass, as ``dataclasses.replace`` re-runs its checks (a named tuple's _replace would not)."""
 
     n: int
     values: np.ndarray
@@ -70,7 +69,8 @@ def dephased_coefficients(graph: GraphSpec, gamma_t: float) -> CoeffVector:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a stabilizer-diagonal state, indexed by eigenvector bit-strings."""
+    """Eigenvalues of a stabilizer-diagonal state, indexed by eigenvector bit-strings.
+    A dataclass, as ``dataclasses.replace`` re-runs its checks (a named tuple's _replace would not)."""
 
     n: int
     values: np.ndarray

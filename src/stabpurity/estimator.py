@@ -32,14 +32,15 @@ warning, and the constructed certificate reports the violation.
 
 Each public function that needs a sign-normalized record checks that once and
 then works on the tuple ``record.a``.
-"""
 
-from __future__ import annotations
+``KktCertificate`` and ``EntropyEstimate`` are named tuples, which unpack and
+compare by value; the validated record and ``PurityEstimate`` stay dataclasses.
+"""
 
 import math
 from dataclasses import dataclass
 from operator import add, mul, sub
-from typing import Optional
+from typing import NamedTuple
 
 from .stabilizer import GraphSpec
 
@@ -96,6 +97,8 @@ class MeasurementRecord:
     """Generator expectations a_k with their uncertainties delta_a_k.
 
     Accepts any sequence (or numpy array) for both and stores tuples of floats.
+    A dataclass, as ``dataclasses.replace`` re-runs its validation (a named tuple's
+    _replace would not) and ``bench/spans.py`` times its ``__init__``.
     """
 
     n: int
@@ -117,18 +120,18 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class PurityEstimate:
-    """p_min, its error bars, and the nonzero spectrum: lambda0 and the single-bit ``singles``."""
+    """p_min, its error bars, and the nonzero spectrum: lambda0 and the single-bit ``singles``.
+    A dataclass, as ``bench/selfcheck.py`` copies one with ``dataclasses.replace``."""
 
     p_min: float
-    p_lower: Optional[float]
-    p_upper: Optional[float]
+    p_lower: float | None
+    p_upper: float | None
     lambda0: float
     singles: tuple
     warnings: tuple = ()
 
 
-@dataclass(frozen=True)
-class KktCertificate:
+class KktCertificate(NamedTuple):
     """Multipliers certifying optimality of the closed-form minimizer.
 
     ``nu`` holds the equality multipliers: nu[0] at the all-zero index,
@@ -144,9 +147,8 @@ class KktCertificate:
     valid: bool
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
-    s_lower: Optional[float]
+class EntropyEstimate(NamedTuple):
+    s_lower: float | None
     s_max: float
 
 
@@ -225,7 +227,7 @@ def closed_form_is_optimal(record: MeasurementRecord) -> bool:
     return _is_optimal(_normalized(record))
 
 
-def min_purity(record: MeasurementRecord, graph: Optional[GraphSpec] = None) -> PurityEstimate:
+def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> PurityEstimate:
     """Least purity compatible with the record, with error-bar bounds.
 
     O(n): the spectrum is (lambda_0, (1 - a_k)/2 ..., 0 x (2^n - n - 1)) and

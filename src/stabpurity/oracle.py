@@ -88,10 +88,8 @@ and the printed summary all read.  The solvers above still share no formula
 with the estimator; only the scorer calls both and compares them.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +114,7 @@ class NotConverged(Exception):
         super().__init__(f"no convergence after {iterations} iterations (residual {residual:.3g})")
 
 
-@dataclass(frozen=True)
-class QpSolution:
+class QpSolution(NamedTuple):
     """The numeric optimum of the purity QP; see ``qp_min_purity`` for the fields."""
 
     lambda_star: np.ndarray

@@ -18,8 +18,6 @@ doubles and its terms summed in the order numpy's compiled code uses; and a
 zero v is tested before ``math.log``, which raises where C returns -inf.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 

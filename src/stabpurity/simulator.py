@@ -22,8 +22,6 @@ estimated bounds against the exact values for dephased path graphs, n = 2..4,
 checked against 4-decimal reference values.
 """
 
-from __future__ import annotations
-
 import math
 
 from .estimator import MeasurementRecord, binary_entropy, estimate_entropy, min_purity

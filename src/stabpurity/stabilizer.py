@@ -9,8 +9,6 @@ Conventions, fixed project-wide:
   index selects generator k; the 2^n products form the stabilizer group.
 """
 
-from __future__ import annotations
-
 import re
 from dataclasses import dataclass
 
@@ -27,7 +25,8 @@ class GraphSpec:
     and inf are rejected).  They are normalized on construction and stored as
     a frozenset of sorted pairs; self-loops, out-of-range vertices and
     duplicate edges (in either order) are rejected.  n = 1 with no edges is
-    valid (single generator X).
+    valid (single generator X).  A dataclass, as ``dataclasses.replace`` re-runs
+    this validation (a named tuple's _replace would not).
     """
 
     n: int

@@ -1,6 +1,8 @@
 """Shared record/graph samplers for the test suite."""
 
+import inspect
 import math
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
@@ -221,3 +223,27 @@ def dense_kkt(record: MeasurementRecord, nu) -> tuple[np.ndarray, float, float]:
     walsh_hadamard_inplace(a_mu)
     stationarity = (2.0 / dim) * c + nu_full - a_mu / dim
     return mu, float(np.abs(stationarity).max()), float(np.abs(mu * lam).max())
+
+
+def line_of(fn, text: str) -> int:
+    """The line number of the one source line of ``fn`` that reads ``text``, stripped."""
+    lines, start = inspect.getsourcelines(fn)
+    (offset,) = [i for i, line in enumerate(lines) if line.strip() == text]
+    return start + offset
+
+
+def lines_run(fn, call, *args) -> tuple:
+    """``call(*args)`` and the set of line numbers it ran in the body of ``fn``."""
+    hit = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hit.add(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
+    try:
+        return call(*args), hit
+    finally:
+        sys.settrace(previous)

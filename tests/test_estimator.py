@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -501,3 +502,46 @@ class TestSingleGenerator:
             assert ent.s_lower == pytest.approx(h, abs=1e-12)
             assert ent.s_max == pytest.approx(h, abs=1e-12)
             assert closed_form_is_optimal(rec)
+
+
+class TestValueTypes:
+    """The three results are named tuples with the fields, order and repr their
+    dataclass forms had; the validated types stay dataclasses."""
+
+    @staticmethod
+    def results() -> list:
+        rec = record(0.5, 0.5)
+        return [kkt_certificate(rec), estimate_entropy(rec), qp_min_purity(rec)]
+
+    def test_fields_in_order(self):
+        cert, ent, sol = self.results()
+        assert cert._fields == ("nu", "min_mu", "valid")
+        assert ent._fields == ("s_lower", "s_max")
+        assert sol._fields == ("lambda_star", "objective", "iterations", "kkt_residual")
+        s_lower, s_max = ent
+        assert (s_lower, s_max) == (ent.s_lower, ent.s_max)
+
+    def test_repr_unchanged(self):
+        assert [repr(result) for result in self.results()] == [
+            "KktCertificate(nu=(-0.5, -0.25, -0.25), min_mu=0.0, valid=True)",
+            "EntropyEstimate(s_lower=1.0397207708399179, s_max=1.1246702892376166)",
+            "QpSolution(lambda_star=array([0.5 , 0.25, 0.25, 0.  ]), objective=0.375, iterations=1, kkt_residual=0.0)",
+        ]
+
+    def test_immutable(self):
+        for result in self.results():
+            for field in result._fields:
+                with pytest.raises(AttributeError):
+                    setattr(result, field, None)
+
+    def test_replace_revalidates_the_validated_types(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            dataclasses.replace(GraphSpec.preset("path-3"), edges=[(0, 0)])
+        with pytest.raises(ValueError, match="must lie in"):
+            dataclasses.replace(record(0.5), a=(2.0,))
+
+    def test_purity_estimate_copies_with_replace(self):
+        est = min_purity(record(0.9, 0.8))
+        copy = dataclasses.replace(est, p_min=0.5)
+        assert copy.p_min == 0.5
+        assert dataclasses.replace(copy, p_min=est.p_min) == est

@@ -140,13 +140,39 @@ def test_only_diagonal_and_oracle_import_numpy():
     assert sorted(importers) == ["diagonal.py", "oracle.py"]
 
 
+def test_dataclass_only_where_a_check_needs_it():
+    """No module uses ``from __future__`` or ``typing.Optional``, and ``@dataclass``
+    decorates exactly five types; plain results are named tuples.  The reasons:
+
+    - GraphSpec, MeasurementRecord, CoeffVector and Spectrum validate in
+      ``__post_init__``, which ``dataclasses.replace`` re-runs and a named
+      tuple's _replace would skip;
+    - bench/spans.py also wraps MeasurementRecord.__init__ as the
+      estimator.record layer;
+    - PurityEstimate has no check: bench/selfcheck.py copies one with
+      ``dataclasses.replace``, so a benchmark change that drops that call frees it.
+    """
+    futures, optional, decorated = [], [], []
+    for path in sorted(Path(stabpurity.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                futures.append(path.name)
+            elif "Optional" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                optional.append(path.name)
+            elif isinstance(node, ast.ClassDef):
+                names = [ast.unparse(d).split("(")[0].split(".")[-1] for d in node.decorator_list]
+                decorated += [node.name] * names.count("dataclass")
+    assert (futures, optional) == ([], [])
+    assert sorted(decorated) == ["CoeffVector", "GraphSpec", "MeasurementRecord", "PurityEstimate", "Spectrum"]
+
+
 def test_no_module_imports_an_unused_name():
     unused = []
     for path in sorted(Path(stabpurity.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
                 unused += [f"{path.name}: {name}" for name in bound if name not in read]
     assert unused == []

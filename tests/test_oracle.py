@@ -38,6 +38,8 @@ from support import (
     infeasible_record,
     kron_assemble,
     kron_stabilizer_coefficients,
+    line_of,
+    lines_run,
     optimal_record,
     random_graph,
     rk4_reference,
@@ -252,6 +254,47 @@ class TestQp:
         except InfeasibleRecord:
             return
         assert sol.objective <= closed + 1e-12
+
+    @staticmethod
+    def assert_same_answer(sol, expected):
+        # a certified lambda depends on its support alone, however it was reached
+        np.testing.assert_array_equal(sol.lambda_star, expected.lambda_star)
+        assert (sol.objective, sol.kkt_residual) == (expected.objective, expected.kkt_residual)
+
+    def test_gradient_restart_keeps_the_answer(self, monkeypatch):
+        # declining the checks of the first 8 sweeps (n + 1 calls each) on this band
+        # record lets the momentum overshoot, and the 9th sweep restarts it (t = 1)
+        rec, certify, calls = record(0.5, 0.6, 0.7), oracle._certify, []
+        expected = qp_min_purity(rec)
+
+        def decline(rows, b, support):
+            calls.append(support)
+            return None if len(calls) <= 8 * len(b) else certify(rows, b, support)
+
+        monkeypatch.setattr(oracle, "_certify", decline)
+        sol, hit = lines_run(qp_min_purity, qp_min_purity, rec)
+        assert line_of(qp_min_purity, "t = 1.0") in hit
+        assert sol.iterations == 9
+        self.assert_same_answer(sol, expected)
+
+    def test_re_polish_budget_keeps_the_answer(self, monkeypatch):
+        # the first n + 1 solves reject with scores that alternate between the even
+        # and the odd indices, so _certify gives up on a support that never repeats;
+        # the best-scoring index joins the sweep's support and the real solves certify
+        rec, polish, calls = record(0.5, 0.6, 0.7), oracle._polish, []
+        expected = qp_min_purity(rec)
+
+        def alternate(rows, b, support):
+            calls.append(support)
+            if len(calls) > len(b):
+                return polish(rows, b, support)
+            return None, np.where(np.arange(rows.shape[1]) % 2 == len(calls) % 2, 1.0, -1.0)
+
+        monkeypatch.setattr(oracle, "_polish", alternate)
+        sol, hit = lines_run(_certify, qp_min_purity, rec)
+        assert line_of(_certify, "return None") in hit
+        assert len(calls) > len(rec.a) + 1 and sol.iterations == 1
+        self.assert_same_answer(sol, expected)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sign-normalized"):
