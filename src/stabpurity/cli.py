@@ -33,7 +33,6 @@ import sys
 
 from . import __version__
 from .estimator import (
-    CertificateInvalid,
     InfeasibleRecord,
     MeasurementRecord,
     estimate_entropy,
@@ -151,10 +150,7 @@ def build_report(record, graph, meta, digest) -> dict:
     ent = estimate_entropy(normalized)
 
     if normalized.n <= DENSE_CAP:
-        try:
-            cert = kkt_certificate(normalized)
-        except CertificateInvalid as exc:
-            cert = exc.certificate
+        cert = kkt_certificate(normalized)
         certificate = {"valid": cert.valid, "min_mu": cert.min_mu}
     else:  # kept for the report schema and the benchmark gate, which pin null above the cap
         certificate = {"valid": None, "skipped": f"n > dense cap {DENSE_CAP}"}

@@ -28,7 +28,7 @@ feasibility gate.  It is the true optimum iff every inequality multiplier is
 nonnegative, which reduces to lambda_0 >= (largest) + (second largest) of the
 single-bit eigenvalues; records failing that condition still get the
 closed-form value (a reachable upper bound on the minimum purity) plus a
-warning, and the constructed certificate reports the violation.
+warning, and the certificate reports the violation as ``valid=False``.
 
 Each public function that needs a sign-normalized record checks that once and
 then works on the tuple ``record.a``.
@@ -61,24 +61,6 @@ class InfeasibleRecord(Exception):
         )
 
 
-class CertificateInvalid(Exception):
-    """The closed form's inequality multipliers are not all nonnegative.
-
-    Carries the offending index (a bitmask over generators) and the
-    certificate, whose ``min_mu`` is the most negative multiplier, so callers
-    can still inspect it.
-    """
-
-    def __init__(self, index: int, certificate):
-        self.index = index
-        self.certificate = certificate
-        super().__init__(
-            f"optimality certificate failed: mu >= 0 at index {index:#x} "
-            f"(value = {certificate.min_mu:.6g}); the closed-form purity is an upper bound but "
-            f"may exceed the true minimum for this record"
-        )
-
-
 def _floats(values, n: int, name: str) -> tuple:
     """``values`` (a number, any sequence, or a numpy array) as a tuple of n floats."""
     if hasattr(values, "tolist"):  # numpy arrays and scalars
@@ -106,6 +88,8 @@ class MeasurementRecord:
     delta_a: tuple = None
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ValueError(f"generator count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("need at least one generator")
         a = _floats(self.a, self.n, "a")
@@ -296,15 +280,14 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
              = 2 lambda_j + 2 (m - 1) lambda_0 - 2 sum_{k in j} s_k,
 
     exactly 0 on the support (m <= 1), so complementarity and stationarity hold
-    by construction.  With S_m the sum of the m largest s_k (one stable sort
-    and a prefix sum), min_mu = min(0, min_{m >= 2} 2 ((m - 1) lambda_0 - S_m)).
+    by construction.  With S_m the sum of the m largest s_k (a prefix sum of the
+    sorted s_k), min_mu = min(0, min_{m >= 2} 2 ((m - 1) lambda_0 - S_m)).
 
     The increments lambda_0 - s_(m+1) grow with m, so min_mu < 0 iff the
     two-bit term is, which is the test of :func:`closed_form_is_optimal`;
     ``valid`` is that function's verdict, one comparison with one tolerance.
-    When it is False, raises CertificateInvalid with the certificate and, as
-    the index, the bitmask of the m* generators with the largest s_k for the
-    minimizing m* (2 if rounding leaves min_mu at 0).
+    Every feasible record gets its certificate, valid or not; the only raise
+    on a sign-normalized record is InfeasibleRecord, below the gate.
     """
     a = _normalized(record)
     _feasible_spectrum(a)
@@ -312,19 +295,12 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
     nu_singles = [sk - lam0 for sk in s]
     nu = (-2.0 * lam0 - math.fsum(nu_singles), *nu_singles)
 
-    order = sorted(range(record.n), key=s.__getitem__, reverse=True)  # stable on ties
-    min_mu, m_star, top = 0.0, 2, 0.0
-    for m, k in enumerate(order, 1):
-        top += s[k]
-        mu = 2.0 * ((m - 1) * lam0 - top)
-        if m >= 2 and mu < min_mu:
-            min_mu, m_star = mu, m
-
-    cert = KktCertificate(nu=nu, min_mu=min_mu, valid=_is_optimal(a))
-    if not cert.valid:
-        index = sum(1 << k for k in order[:m_star])
-        raise CertificateInvalid(index, cert)
-    return cert
+    min_mu, top = 0.0, 0.0
+    for m, sk in enumerate(sorted(s, reverse=True)):
+        top += sk
+        if m:
+            min_mu = min(min_mu, 2.0 * (m * lam0 - top))
+    return KktCertificate(nu=nu, min_mu=min_mu, valid=_is_optimal(a))
 
 
 def estimate_entropy(record: MeasurementRecord) -> EntropyEstimate:

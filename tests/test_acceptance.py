@@ -101,7 +101,7 @@ def test_criterion_4_kkt_certificates():
     worst_res = 0.0
     all_valid = True
     for record in shared_qp_records():
-        cert = kkt_certificate(record)  # raises CertificateInvalid on failure
+        cert = kkt_certificate(record)
         all_valid = all_valid and cert.valid
         worst_mu = min(worst_mu, cert.min_mu)
         _, stationarity, complementarity = dense_kkt(record, cert.nu)

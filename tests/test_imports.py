@@ -1,8 +1,8 @@
 """The package's import graph: a bare package, estimate, simulate,
 reproduce-tables and an oracle-check refusal without numpy, numpy imported by
 the dense modules alone, no module reaching into another's private names, no
-module importing a name it never reads, and no docstring naming a private name
-its module lacks."""
+module importing a name it never reads, no exception class that is never
+raised, and no docstring naming a private name its module lacks."""
 
 import ast
 import builtins
@@ -178,20 +178,39 @@ def test_no_module_imports_an_unused_name():
     assert unused == []
 
 
-def test_every_exception_attribute_is_read():
-    """An attribute an exception class of the package stores on ``self`` is read
-    as ``.name`` somewhere in the package, the benchmark or the tests."""
-    package = Path(stabpurity.__file__).parent.glob("*.py")
-    classes = [node for path in package for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, ast.ClassDef)]
+def _package_trees() -> list:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in Path(stabpurity.__file__).parent.glob("*.py")]
+
+
+def _exception_classes(trees) -> list:
+    """The class definitions in ``trees`` that derive, at any depth, from a builtin exception."""
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     exceptions = {name for name, value in vars(builtins).items()
                   if isinstance(value, type) and issubclass(value, BaseException)}
     while new := {c.name for c in classes if c.name not in exceptions
                   and any(isinstance(base, ast.Name) and base.id in exceptions for base in c.bases)}:
         exceptions |= new
+    return [c for c in classes if c.name in exceptions]
+
+
+def test_every_exception_class_is_raised():
+    """Every exception class the package defines appears in a ``raise`` of the
+    package, so no exception type outlives the code that raised it."""
+    trees = _package_trees()
+    raised = {
+        getattr(node.func if isinstance(node, ast.Call) else node, "id", None)
+        for tree in trees
+        for node in (stmt.exc for stmt in ast.walk(tree) if isinstance(stmt, ast.Raise))
+    }
+    assert sorted(c.name for c in _exception_classes(trees) if c.name not in raised) == []
+
+
+def test_every_exception_attribute_is_read():
+    """An attribute an exception class of the package stores on ``self`` is read
+    as ``.name`` somewhere in the package, the benchmark or the tests."""
     stored = {
         (c.name, node.attr)
-        for c in classes if c.name in exceptions
+        for c in _exception_classes(_package_trees())
         for node in ast.walk(c)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
         and isinstance(node.value, ast.Name) and node.value.id == "self"
