@@ -211,7 +211,7 @@ def cmd_estimate(args) -> int:
             "message": str(exc),
             "n": exc.n,
             "lambda0": exc.lambda0,
-            "sum_a": math.fsum(map(abs, record.a)),
+            "sum_a": exc.sum_a,
         }
         code = 2
     if args.output:

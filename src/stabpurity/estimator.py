@@ -21,14 +21,17 @@ warnings come from :func:`min_purity`, both entropy bounds from
 
 Every sum is Shewchuk's exact ``math.fsum``, rounded once.  lambda_0 is one
 such sum of exact terms, so it is correctly rounded even as it nears 0, and no
-reported value depends on the order of the generators.
+reported value depends on the order of the generators.  A correctly rounded
+sum has the sign of the exact one, so each gate below is one such sum with its
+constant inside, and its sign is read with no slack.
 
 The candidate is a valid state iff lambda_0 >= 0, which is the hard
 feasibility gate.  It is the true optimum iff every inequality multiplier is
 nonnegative, which reduces to lambda_0 >= (largest) + (second largest) of the
-single-bit eigenvalues; records failing that condition still get the
-closed-form value (a reachable upper bound on the minimum purity) plus a
-warning, and the certificate reports the violation as ``valid=False``.
+single-bit eigenvalues, i.e. sum(a) + a_(1) + a_(2) >= n (two smallest a_k);
+records failing that condition still get the closed-form value (a reachable
+upper bound on the minimum purity) plus a warning, and the certificate reports
+the violation as ``valid=False``.
 
 Each public function that needs a sign-normalized record checks that once and
 then works on the tuple ``record.a``.
@@ -44,18 +47,16 @@ from typing import NamedTuple
 
 from .stabilizer import GraphSpec
 
-#: Slack on exact arithmetic comparisons (feasibility, optimality boundary).
-_EXACT_TOL = 1e-12
-
 
 class InfeasibleRecord(Exception):
     """Measurement record violates the closed-form feasibility gate (lambda_0 < 0)."""
 
-    def __init__(self, lambda0: float, n: int):
+    def __init__(self, lambda0: float, a: tuple):
         self.lambda0 = lambda0
-        self.n = n
+        self.n = n = len(a)
+        self.sum_a = math.fsum(a)
         super().__init__(
-            f"sum(a) = {2 * lambda0 + n - 2:.6g} < n - 2 = {n - 2}: the closed-form "
+            f"sum(a) = {self.sum_a:.6g} < n - 2 = {n - 2}: the closed-form "
             f"candidate state has lambda_0 = {lambda0:.6g} < 0; use the numeric solver "
             f"for small n instead"
         )
@@ -122,7 +123,7 @@ class KktCertificate(NamedTuple):
     nu[k] (k >= 1) at the index with only bit k-1 set.  Of the 2^n inequality
     multipliers only their minimum ``min_mu`` is kept: the rest of the KKT
     conditions hold by construction (derivation in :func:`kkt_certificate`).
-    ``valid`` is the verdict of :func:`closed_form_is_optimal`, the one
+    ``valid`` is the verdict of :func:`closed_form_is_optimal`, the one exact
     optimality test, so it never disagrees with the estimator's warning.
     """
 
@@ -177,11 +178,11 @@ def _purity(lam0: float, singles: tuple) -> float:
 
 
 def _feasible_spectrum(a: tuple) -> tuple[float, tuple]:
-    """The spectrum with lambda_0 clipped at 0; raises InfeasibleRecord below the gate."""
+    """The spectrum of a record at or above the gate; raises InfeasibleRecord below it."""
     lam0, singles = _spectrum(a)
-    if lam0 < -_EXACT_TOL:
-        raise InfeasibleRecord(lam0, len(a))
-    return max(lam0, 0.0), singles
+    if lam0 < 0.0:
+        raise InfeasibleRecord(lam0, a)
+    return lam0, singles
 
 
 def _two_smallest(a: tuple) -> tuple[float, float]:
@@ -194,7 +195,7 @@ def _two_smallest(a: tuple) -> tuple[float, float]:
 def _is_optimal(a: tuple) -> bool:
     if len(a) < 2:
         return True
-    return math.fsum((*a, *_two_smallest(a))) >= len(a) - _EXACT_TOL
+    return math.fsum((-len(a), *a, *_two_smallest(a))) >= 0.0
 
 
 def closed_form_is_optimal(record: MeasurementRecord) -> bool:
@@ -236,14 +237,14 @@ def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> Pur
     p_min = _purity(lam0, singles)
     p_upper = _purity(*_spectrum([x if x < 1.0 else 1.0 for x in map(add, a, record.delta_a)]))
     low0, low_singles = _spectrum([x if x > 0.0 else 0.0 for x in map(sub, a, record.delta_a)])
-    p_lower = None if low0 < -_EXACT_TOL else _purity(low0, low_singles)
+    p_lower = None if low0 < 0.0 else _purity(low0, low_singles)
 
     if graph is None:
-        pairs_ok = len(a) < 2 or sum(_two_smallest(a)) >= 1.0 - _EXACT_TOL
+        pairs_ok = len(a) < 2 or math.fsum((-1.0, *_two_smallest(a))) >= 0.0
     elif graph.n != len(a):
         raise ValueError("graph and record disagree on generator count")
     else:
-        pairs_ok = all(a[u] + a[v] >= 1.0 - _EXACT_TOL for u, v in graph.edges)
+        pairs_ok = all(math.fsum((-1.0, a[u], a[v])) >= 0.0 for u, v in graph.edges)
 
     warnings = []
     if not pairs_ok:
@@ -285,13 +286,12 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
 
     The increments lambda_0 - s_(m+1) grow with m, so min_mu < 0 iff the
     two-bit term is, which is the test of :func:`closed_form_is_optimal`;
-    ``valid`` is that function's verdict, one comparison with one tolerance.
+    ``valid`` is that function's verdict, the exact sign of one sum.
     Every feasible record gets its certificate, valid or not; the only raise
     on a sign-normalized record is InfeasibleRecord, below the gate.
     """
     a = _normalized(record)
-    _feasible_spectrum(a)
-    lam0, s = _spectrum(a)  # unclipped: certify the candidate as constructed
+    lam0, s = _feasible_spectrum(a)
     nu_singles = [sk - lam0 for sk in s]
     nu = (-2.0 * lam0 - math.fsum(nu_singles), *nu_singles)
 
@@ -314,10 +314,6 @@ def estimate_entropy(record: MeasurementRecord) -> EntropyEstimate:
     It has no feasibility gate.
     """
     a = _normalized(record)
-    try:
-        lam0, singles = _feasible_spectrum(a)
-    except InfeasibleRecord:
-        s_lower = None
-    else:
-        s_lower = math.fsum([-s * math.log(s) for s in (lam0, *singles) if s > 0.0])
+    lam0, singles = _spectrum(a)
+    s_lower = None if lam0 < 0.0 else math.fsum([-s * math.log(s) for s in (lam0, *singles) if s > 0.0])
     return EntropyEstimate(s_lower, math.fsum(map(binary_entropy, [(1.0 + ak) / 2.0 for ak in a])))

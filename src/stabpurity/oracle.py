@@ -413,9 +413,8 @@ def run_oracle_trials(trials: int, n_min: int, n_max: int, seed: int) -> dict:
 
         # informational probe: feasible records outside the optimality domain
         lo = rng.uniform(0.0, 0.45, size=n)
-        probe = 1.0 - lo * (2.0 / max(1.0, lo.sum()))  # keeps sum(a) >= n - 2
-        probe = np.clip(probe, 0.0, 1.0)
-        probe_record = MeasurementRecord(n, probe)
+        # deficits sum to at most 1.99, so rounding cannot take sum(a) below n - 2
+        probe_record = MeasurementRecord(n, 1.0 - lo * (1.99 / max(0.995, lo.sum())))
         if not closed_form_is_optimal(probe_record):
             band["count"] += 1
             diff = _qp_gap(probe_record)

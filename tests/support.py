@@ -1,8 +1,10 @@
 """Shared record/graph samplers for the test suite."""
 
 import inspect
+import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -19,11 +21,19 @@ def random_graph(rng, n: int) -> GraphSpec:
 
 
 def _within_budget(deficits: np.ndarray, budget: float) -> MeasurementRecord:
-    """Record a = 1 - deficits, with the deficits rescaled to sum to at most budget."""
+    """Record a = 1 - deficits, with the deficits rescaled so that the exact sum of
+    1 - a_k, read from the rounded a, is at most budget (budget >= 0).
+
+    Rescaling to budget itself can round that sum just past it; each retry
+    shrinks the deficits further, doubling the shrink up to all of them.
+    """
     total = deficits.sum()
     if total > budget:
         deficits = deficits * (budget / total)
-    return MeasurementRecord(deficits.size, 1.0 - deficits)
+    a, shrink = 1.0 - deficits, 2.0**-40
+    while math.fsum((budget, -a.size, *a)) < 0.0:
+        a, shrink = 1.0 - deficits * (1.0 - shrink), 2.0 * shrink
+    return MeasurementRecord(a.size, a)
 
 
 def feasible_record(rng, n: int) -> MeasurementRecord:
@@ -58,6 +68,48 @@ def boundary_records(draw, max_n: int, width: float) -> MeasurementRecord:
     w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
     t = draw(st.floats(-width, width))
     return MeasurementRecord(n, 1.0 - w * ((2.0 - t) / (w.sum() + np.sort(w)[-2:].sum())))
+
+
+@st.composite
+def feasibility_edge_records(draw, max_n: int) -> MeasurementRecord:
+    """Records at n = 3..max_n with deficits 1 - a_k rescaled to sum to 2, which puts
+    lambda_0 at 0 up to rounding.
+
+    Weights w in [0.5, 1] keep each deficit 2 w / sum(w) at most 1, since any
+    two weights sum to at least the third.
+    """
+    n = draw(st.integers(3, max_n))
+    w = np.array(draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n)))
+    return MeasurementRecord(n, 1.0 - np.minimum(w * (2.0 / w.sum()), 1.0))
+
+
+@st.composite
+def pair_edge_records(draw, max_n: int) -> MeasurementRecord:
+    """Records at n = 2..max_n whose first two expectations sum to 1 up to a few ulps."""
+    x = draw(st.floats(0.0, 1.0))
+    y = 1.0 - x
+    for _ in range(draw(st.integers(0, 2))):
+        y = math.nextafter(y, draw(st.sampled_from([0.0, 1.0])))
+    rest = draw(st.lists(st.floats(0.75, 1.0), max_size=max_n - 2))
+    return MeasurementRecord(2 + len(rest), [x, y, *rest])
+
+
+def exact_verdicts(record: MeasurementRecord, graph: GraphSpec | None = None) -> tuple[bool, bool, bool]:
+    """(feasible, optimal, pairs_ok) of a sign-normalized record in ``Fraction`` arithmetic.
+
+    The test suite's reference for the estimator's gates: lambda_0 >= 0, that
+    is sum(a) >= n - 2; the multiplier condition sum(a) + a_(1) + a_(2) >= n
+    (vacuous at n = 1); and a_j + a_k >= 1 over all pairs, or over the edges
+    of ``graph``.
+    """
+    a = [Fraction(x) for x in record.a]
+    n = len(a)
+    pairs = itertools.combinations(range(n), 2) if graph is None else graph.edges
+    return (
+        sum(a) >= n - 2,
+        n < 2 or sum(a) + sum(sorted(a)[:2]) >= n,
+        all(a[u] + a[v] >= 1 for u, v in pairs),
+    )
 
 
 def optimal_record(rng, n: int) -> MeasurementRecord:

@@ -24,9 +24,12 @@ from stabpurity.stabilizer import DENSE_CAP, GraphSpec
 from support import (
     boundary_records,
     dense_kkt,
+    exact_verdicts,
+    feasibility_edge_records,
     feasible_record,
     feasible_records,
     optimal_record,
+    pair_edge_records,
     suboptimal_record,
 )
 
@@ -409,6 +412,39 @@ class TestPairwiseCheck:
     def test_warning_issued(self):
         est = min_purity(record(0.9, 0.45, 0.45))  # 0.45 + 0.45 < 1, still feasible
         assert any("sum below 1" in w for w in est.warnings)
+
+
+class TestExactGates:
+    """Each gate is the exact sign of one correctly rounded sum: no slack either way."""
+
+    @given(st.one_of(feasibility_edge_records(12), boundary_records(12, 1e-15), pair_edge_records(12)))
+    @settings(max_examples=1000)
+    def test_verdicts_match_exact_arithmetic(self, rec):
+        feasible, optimal, pairs_ok = exact_verdicts(rec)
+        assert closed_form_is_optimal(rec) == optimal
+        assert (estimate_entropy(rec).s_lower is not None) == feasible
+        if not feasible:
+            with pytest.raises(InfeasibleRecord):
+                min_purity(rec)
+            return
+        path = GraphSpec(rec.n, [(k, k + 1) for k in range(rec.n - 1)])
+        assert pairwise_warned(rec) != pairs_ok
+        assert pairwise_warned(rec, path) != exact_verdicts(rec, path)[2]
+
+    def test_feasibility_gate(self):
+        below = record(0.19999999999999996, 0.19999999999999996, 0.6)  # exact lambda_0 = -2^-54
+        with pytest.raises(InfeasibleRecord) as info:
+            min_purity(below)
+        assert info.value.lambda0 == -(2.0**-54)
+        assert estimate_entropy(below).s_lower is None
+        on = record(0.5, 0.5, 0.5, 0.5)  # the lambda0-zero golden: exactly on the gate
+        assert min_purity(on).lambda0 == 0.0
+        assert estimate_entropy(on).s_lower is not None
+
+    def test_pair_whose_float_sum_rounds_to_one_warns(self):
+        rec = record(0.5, 0.49999999999999994)  # exact sum 1 - 2^-54
+        assert pairwise_warned(rec)
+        assert pairwise_warned(rec, GraphSpec.preset("path-2"))
 
 
 class TestEntropy:
