@@ -55,8 +55,8 @@ class InfeasibleRecord(Exception):
         self.lambda0 = lambda0
         self.n = n = len(a)
         self.sum_a = math.fsum(a)
-        super().__init__(
-            f"sum(a) = {self.sum_a:.6g} < n - 2 = {n - 2}: the closed-form "
+        super().__init__(  # the shortfall -2 lambda_0 is positive even where sum(a) rounds to n - 2
+            f"sum(a) = {self.sum_a!r} is {-2.0 * lambda0:.6g} below n - 2 = {n - 2}: the closed-form "
             f"candidate state has lambda_0 = {lambda0:.6g} < 0; use the numeric solver "
             f"for small n instead"
         )

@@ -66,19 +66,21 @@ check re-solves there: the step iterated as a primal-dual active set method
 exactly 0 stays in S', so that ties do not cycle: on the mixed 2-qubit record
 S = {0, 1, 2} solves to (0, 1/2, 1/2, 0) with score 1 at j = 3, and S' is
 the whole optimum support, where {j : score > 0} = {1, 2, 3} would solve back
-to {0, 1, 2}.  The support after the first sweep, {j : (B^T b)_j > 0}, is
-only a few such steps from the optimum's.  The re-solves end at the first
-certified spectrum, or when S' = S, when a system is singular, or after
-n + 1 solves, the dual dimension.  Then the off-S index of highest score
-joins S, as in Lawson & Hanson's outer loop, and the re-solves start over,
-n + 1 rounds at most before the next sweep runs.  This is for an a_k just
-below 1: its tiny mass (1 - a_k)/2 on bit k = 1 lies along a nearly flat
-dual direction, so the sweep's S keeps bit k at 0, where row k of B_S
-repeats the all-ones row and the system is singular.  Within a rounding unit
-of 1 that mass is 0 to working precision, and ``qp_min_purity`` removes the
-generator before the sweep.  A certified lambda depends on its support
-alone, so the number of sweeps and solves that found it does not change a
-bit of it, and the certified polish is the only way the QP answers.
+to {0, 1, 2}.  Most records certify from the support after the first sweep,
+{j : (B^T b)_j > 0}, but an a_k just below 1 can take hundreds of sweeps
+(613 at n = 10 in the README's sample) and restart the momentum.  The
+re-solves end at the first certified spectrum, or when S' = S, when a system
+is singular, or after n + 1 solves, the dual dimension.  Then the off-S
+index of highest score joins S, as in Lawson & Hanson's outer loop, and the
+re-solves start over, n + 1 rounds at most before the next sweep runs.  This
+is for an a_k just below 1: its tiny mass (1 - a_k)/2 on bit k = 1 lies
+along a nearly flat dual direction, so the sweep's S keeps bit k at 0, where
+row k of B_S repeats the all-ones row and the system is singular.  Within a
+rounding unit of 1 that mass is 0 to working precision, and
+``qp_min_purity`` removes the generator before the sweep.  A certified
+lambda depends on its support alone, so the number of sweeps and solves that
+found it does not change a bit of it, and the certified polish is the only
+way the QP answers.
 
 Cross-check.  ``instance_gap`` scores one instance of a check kind (``qp``,
 ``entropy`` or ``integrator``) as the deviation of the closed form from its
@@ -138,10 +140,11 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     Deterministic.  An a_k within a rounding unit (2^-52) of 1 is pinned: it
     forces lambda_j = 0 wherever bit k of j is set, so it is removed and the
     rest of the record fills, in ascending order, the indices with every
-    pinned bit clear (lambda_0 = 1 if all are pinned).  ``iterations`` counts
-    that reduced record's sweeps, one per certification check, not its
-    support solves.  ``kkt_residual`` is ||B lambda - b||_inf on the full
-    record: the polish's ``_CERT_TOL``, plus at most 2^-52 on a pinned row.
+    pinned bit clear (lambda_0 = 1, in one sweep, if all are pinned).
+    ``iterations`` counts that reduced record's sweeps, one per certification
+    check, not its support solves.  ``kkt_residual`` is ||B lambda - b||_inf
+    on the full record: the polish's ``_CERT_TOL``, plus at most 2^-52 on a
+    pinned row.
     Raises NotConverged past ``_MAX_ITER`` sweeps.  The constraint set is
     never empty on [0, 1]^n: the product spectrum prod_k (1 +- a_k)/2 fits it.
     """
@@ -150,8 +153,6 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     _require_unit_interval(record.a)
     full, full_b = _sign_matrix(record.n), np.concatenate(([1.0], record.a))
     free = np.concatenate(([True], full_b[1:] < 1.0 - np.finfo(float).eps))  # sum row, unpinned a_k
-    if not free[1:].any():  # every bit pinned: lambda_0 = 1
-        return QpSolution(np.eye(1, 1 << record.n)[0], 1.0, 0, 1.0 - min(record.a))
     clear = (full[~free] > 0.0).all(axis=0)  # the indices with every pinned bit clear
     # on ``clear`` the free rows are the reduced record's sign matrix, in row-major order
     rows, b = full[np.ix_(free, clear)], full_b[free]
@@ -219,7 +220,7 @@ def _require_unit_interval(a) -> None:
 
 
 def _solve_tanh(target: float) -> float:
-    """Monotone bisection for tanh(theta) = target, target in [0, 1)."""
+    """Monotone bisection for tanh(theta) = target, target in [0, 1]."""
     tanh, lo, hi = math.tanh, 0.0, 1.0
     while tanh(hi) < target:
         hi *= 2.0
@@ -242,8 +243,10 @@ def max_entropy_numeric(record: MeasurementRecord) -> tuple[np.ndarray, float]:
 
     The entropy maximizer has the Gibbs form lambda_j proportional to
     exp(sum_k theta_k (-1)^{j_k}); the constraints decouple into one monotone
-    equation tanh(theta_k) = a_k per generator, solved by bisection.  The
-    entropy is then evaluated directly from the assembled 2^n spectrum.
+    equation tanh(theta_k) = a_k per generator, solved by bisection; at
+    a_k = 1 it stops at theta_k ~ 19.06, where 1/(1 + exp(-2 theta_k)) rounds
+    to 1, so that bit is 0.  The entropy is then evaluated directly from the
+    assembled 2^n spectrum.
     Returns (lambda_star, s_max).
     """
     if record.n > DENSE_CAP:
@@ -251,10 +254,7 @@ def max_entropy_numeric(record: MeasurementRecord) -> tuple[np.ndarray, float]:
     _require_unit_interval(record.a)
     lam = np.array([1.0])
     for ak in record.a:
-        if ak >= 1.0:
-            p_zero = 1.0  # expectation pinned: that bit is deterministically 0
-        else:
-            p_zero = 1.0 / (1.0 + math.exp(-2.0 * _solve_tanh(float(ak))))
+        p_zero = 1.0 / (1.0 + math.exp(-2.0 * _solve_tanh(float(ak))))
         # bit k of the eigenvector index must vary fastest for lower k: the
         # Kronecker product [p_zero, 1 - p_zero] (x) lam, same products
         lam = (np.array([[p_zero], [1.0 - p_zero]]) * lam).ravel()
@@ -320,11 +320,12 @@ def master_equation_evolve(
     elementwise operation and the Python float operation are each one
     correctly rounded IEEE double operation, done in the same order;
     round-to-nearest is odd-symmetric, so the run from -|rho_0| is exactly
-    the negation of the run from |rho_0|; and multiplying by +-1.0 is exact.  The rate is formed as (gamma/2) times
-    the float -2d, which is +0.0 at d = 0 like the dense sum of
-    z_i z_i^T - 1 terms; at rate +0.0 every k of a run is 0.0 and each step
-    adds (dt/6) * 0.0, so the run from |psi_0|^2 would return it unchanged,
-    and the diagonal keeps it without one.
+    the negation of the run from |rho_0|; and multiplying by +-1.0 is exact.
+    The rate is (gamma/2) times the float -2d, +0.0 at d = 0 like the dense
+    sum of z_i z_i^T - 1 terms, so the d = 0 run would add (dt/6) * 0.0 per
+    step and the diagonal keeps |psi_0|^2 without one.  At gamma = 0 every
+    rate is -0.0, and at t = 0 every step adds 0.0 times a finite sum, so
+    there every run returns |psi_0|^2 and the result is psi psi^T.
 
     gamma*t is capped at ``MAX_GAMMA_T`` = 30, which bounds the default step
     count by 30,000.  Past gamma*t = ln(1e8) ~ 18.4 every off-diagonal
@@ -350,14 +351,10 @@ def master_equation_evolve(
     elif steps < floor:
         raise ValueError(f"steps = {steps} below accuracy floor {floor} (1000 per unit gamma*t)")
     psi = graph_state_vector(graph).real
-    rho = np.outer(psi, psi)
-    if gt != 0.0:
-        x, dt = float(abs(psi[0])) * float(abs(psi[0])), t / steps
-        # d = 0 keeps x: at rate +0.0 every k is 0.0, and x + sixth * 0.0 is x
-        ends = np.array([x] + [_rk4_run(x, (gamma / 2.0) * float(-2 * d), dt, steps) for d in range(1, graph.n + 1)])
-        k = np.arange(1 << graph.n)
-        rho = np.where(rho < 0.0, -1.0, 1.0) * ends[np.bitwise_count(k[:, None] ^ k)]
-    return rho.astype(complex)
+    x, dt = float(psi[0]) * float(psi[0]), t / steps
+    ends = np.array([x] + [_rk4_run(x, (gamma / 2.0) * float(-2 * d), dt, steps) for d in range(1, graph.n + 1)])
+    k, sign = np.arange(1 << graph.n), np.sign(psi)
+    return (np.outer(sign, sign) * ends[np.bitwise_count(k[:, None] ^ k)]).astype(complex)
 
 
 def _qp_gap(record: MeasurementRecord) -> float:

@@ -62,7 +62,8 @@ def sample_measurements(a_true, shots: int, seed: int) -> MeasurementRecord:
     P(+1) = (1 + a_k)/2: the +1 counts are numpy's
     ``default_rng(seed).binomial(shots, p)``, drawn by the pure-Python copy
     of that stream in ``pcg64``.  The record holds the sample means and
-    plug-in standard errors sqrt((1 - ahat^2)/shots).  ``a_true`` may be a
+    plug-in standard errors sqrt((1 - ahat^2)/shots); |ahat| <= 1 holds in
+    floats too, as fl(2 k) <= 2 fl(shots) for every count k.  ``a_true`` may be a
     scalar, a sequence or a numpy array.  Identical arguments give identical
     records.
     """
@@ -77,7 +78,7 @@ def sample_measurements(a_true, shots: int, seed: int) -> MeasurementRecord:
     rng = PCG64(seed)
     plus_counts = [rng.binomial(shots, (1.0 + a) / 2.0) for a in a_true]
     a_hat = [2.0 * k / shots - 1.0 for k in plus_counts]
-    delta = [math.sqrt(max(0.0, 1.0 - a * a) / shots) for a in a_hat]
+    delta = [math.sqrt((1.0 - a * a) / shots) for a in a_hat]
     return MeasurementRecord(len(a_true), a_hat, delta)
 
 

@@ -181,7 +181,7 @@ def rk4_reference(rho, rate, dt: float, steps: int):
 
 
 def bisect_tanh_reference(target: float) -> float:
-    """Bisection for tanh(theta) = target, target in [0, 1): the test suite's copy.
+    """Bisection for tanh(theta) = target, target in [0, 1]: the test suite's copy.
 
     Written out apart from ``oracle._solve_tanh``, with ``math.tanh`` and the
     stop ``1e-15 * max(1.0, hi)``, it pins the bits of every max-entropy

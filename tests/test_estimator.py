@@ -436,6 +436,9 @@ class TestExactGates:
         with pytest.raises(InfeasibleRecord) as info:
             min_purity(below)
         assert info.value.lambda0 == -(2.0**-54)
+        # this sum(a) rounds to n - 2, so the message states the shortfall instead of "2.0 < 2"
+        with pytest.raises(InfeasibleRecord, match=r"^sum\(a\) = 2\.0 is 5\.55112e-17 below n - 2 = 2:"):
+            min_purity(record(0.5, 0.5, 0.5, 0.49999999999999994))
         assert estimate_entropy(below).s_lower is None
         on = record(0.5, 0.5, 0.5, 0.5)  # the lambda0-zero golden: exactly on the gate
         assert min_purity(on).lambda0 == 0.0

@@ -167,7 +167,8 @@ class TestQp:
     def test_binary_records_certify(self, n, monkeypatch):
         # an a_k of exactly 0 or 1 leaves the optimum uniform on the 2^zeros
         # eigenvalues that fit the pinned bits; the ones are removed before the
-        # solve, and the all-ones record is lambda_0 = 1 with no solve at all
+        # solve, so the all-ones record sweeps once and certifies lambda_0 = 1
+        # by one _certify call on the 1 x 1 system of the sum row
         rng = np.random.default_rng(90 + n)
         ones = np.eye(n)
         records = [np.ones(n), np.zeros(n), ones[0], ones[-1]] + [
@@ -180,7 +181,7 @@ class TestQp:
             assert abs(sol.objective - 0.5 ** (n - int(a.sum()))) <= 1e-12
             assert sol.kkt_residual <= 1e-12
             if a.all():
-                assert len(calls) == checks and sol.iterations == 0
+                assert len(calls) == checks + 1 and sol.iterations == 1
                 np.testing.assert_array_equal(sol.lambda_star, np.eye(1 << n)[0])
 
     @pytest.mark.parametrize("pinned", [1.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52])
@@ -276,6 +277,19 @@ class TestQp:
         assert line_of(qp_min_purity, "t = 1.0") in hit
         assert sol.iterations == 9
         self.assert_same_answer(sol, expected)
+
+    def test_real_record_restarts_the_momentum(self):
+        # a_3 just below 1 (not pinned) leaves a tiny eigenvalue along a nearly
+        # flat dual direction: this record takes 373 sweeps, and on the way a
+        # step points against the last move, so the sweep restarts the momentum
+        a = [0.9268263742049634, 0.7226430811176385, 0.9999999999999994, 0.7384047906271977,
+             0.8343845926873698, 0.8284445860031847, 0.8984716282816765, 0.7587908769133337,
+             0.9870237721810534, 0.8149061135803893]
+        sol, hit = lines_run(qp_min_purity, qp_min_purity, MeasurementRecord(10, a))
+        assert line_of(qp_min_purity, "t = 1.0") in hit
+        assert sol.iterations > 1
+        assert sol.kkt_residual <= 1e-12
+        assert sol.lambda_star.min() >= -1e-12
 
     def test_re_polish_budget_keeps_the_answer(self, monkeypatch):
         # the first n + 1 solves reject with scores that alternate between the even
@@ -482,7 +496,7 @@ class TestMaxEntropy:
         # the spectrum test above builds its expectation with _solve_tanh itself;
         # this pins the bisection's bits against the test suite's own copy
         draws = np.random.default_rng(5700).uniform(0.0, 1.0, 200).tolist()
-        targets = [0.0, 1e-300, *draws, *(1.0 - 10.0**-k for k in range(1, 16)), 1.0 - 2.0**-53]
+        targets = [0.0, 1e-300, *draws, *(1.0 - 10.0**-k for k in range(1, 16)), 1.0 - 2.0**-53, 1.0]
         assert [_solve_tanh(x) for x in targets] == [bisect_tanh_reference(x) for x in targets]
 
     def test_cap(self):
@@ -492,11 +506,17 @@ class TestMaxEntropy:
 
 class TestIntegrator:
     def test_zero_time_returns_projector(self):
-        g = GraphSpec.preset("path-3")
-        psi = graph_state_vector(g)
-        np.testing.assert_allclose(
-            master_equation_evolve(g, gamma=1.0, t=0.0), np.outer(psi, psi.conj())
-        )
+        # at gamma*t = 0 (t = 0, or gamma = 0 with t > 0) every run returns |psi_0|^2
+        # unchanged: the real projector psi psi^T, bit for bit, with imaginary parts +0.0
+        for name in ("path-3", "ring-5", "star-6"):
+            g = GraphSpec.preset(name)
+            psi = graph_state_vector(g).real
+            expected = np.outer(psi, psi).astype(complex)
+            for gamma, t in ((1.0, 0.0), (0.0, 0.5)):
+                rho = master_equation_evolve(g, gamma, t)
+                np.testing.assert_array_equal(rho, expected)
+                assert np.array_equal(np.signbit(rho.real), np.signbit(expected.real))
+                assert np.array_equal(np.signbit(rho.imag), np.signbit(expected.imag))
 
     def test_projector_matches_stabilizer_assembly(self):
         # CZ-circuit construction vs the group-projector identity

@@ -127,6 +127,10 @@ class TestSampling:
         rec = sample_measurements(np.ones(3), 100, 1)
         np.testing.assert_array_equal(rec.a, 1.0)
         np.testing.assert_array_equal(rec.delta_a, 0.0)
+        # counts 0 and shots give |ahat| = 1 exactly, also where shots rounds as a float
+        for shots in (1, 3, 2**53 + 1, 2**63 - 1):
+            rec = sample_measurements([1.0, -1.0], shots, 1)
+            assert (rec.a, rec.delta_a) == ((1.0, -1.0), (0.0, 0.0))
 
     def test_large_sample_concentrates(self):
         rec = sample_measurements(np.array([0.9]), 10**6, 12345)
