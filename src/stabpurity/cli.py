@@ -38,7 +38,6 @@ from .estimator import (
     estimate_entropy,
     kkt_certificate,
     min_purity,
-    normalize_signs,
 )
 from .simulator import (
     RNG_ALGORITHM,
@@ -145,12 +144,11 @@ def load_measurement(path: str):
 
 def build_report(record, graph, meta, digest) -> dict:
     """Run the full estimation pipeline on an already-parsed record; returns the report document."""
-    normalized, signs = normalize_signs(record)
-    pur = min_purity(normalized, graph)
-    ent = estimate_entropy(normalized)
+    pur = min_purity(record, graph)
+    ent = estimate_entropy(record)
 
-    if normalized.n <= DENSE_CAP:
-        cert = kkt_certificate(normalized)
+    if record.n <= DENSE_CAP:
+        cert = kkt_certificate(record)
         certificate = {"valid": cert.valid, "min_mu": cert.min_mu}
     else:  # kept for the report schema and the benchmark gate, which pin null above the cap
         certificate = {"valid": None, "skipped": f"n > dense cap {DENSE_CAP}"}
@@ -158,10 +156,10 @@ def build_report(record, graph, meta, digest) -> dict:
     return {
         "version": __version__,
         "input_digest": digest,
-        "n": normalized.n,
-        "a": list(normalized.a),
-        "delta_a": list(normalized.delta_a),
-        "signs_flipped": signs,
+        "n": record.n,
+        "a": [abs(x) for x in record.a],  # the sign-normalized record, -0.0 read as 0.0
+        "delta_a": list(record.delta_a),
+        "signs_flipped": "".join(["1" if x < 0.0 else "0" for x in record.a]),
         "p_min": pur.p_min,
         "p_lower": pur.p_lower,
         "p_upper": pur.p_upper,
@@ -169,7 +167,7 @@ def build_report(record, graph, meta, digest) -> dict:
         "spectrum": {
             "lambda0": pur.lambda0,
             "singles": list(pur.singles),
-            "zero_multiplicity": (1 << normalized.n) - normalized.n - 1,
+            "zero_multiplicity": (1 << record.n) - record.n - 1,
         },
         "s_lower": ent.s_lower,
         "s_max": ent.s_max,

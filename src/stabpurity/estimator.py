@@ -1,8 +1,11 @@
 """Closed-form purity and entropy bounds from stabilizer-generator measurements.
 
-Given expectation values a_k of the n stabilizer generators of a graph state
-(sign-normalized so all a_k >= 0), the least-purity state compatible with the
-data is stabilizer-diagonal with coefficients
+Given expectation values a_k of the n stabilizer generators of a graph state,
+the least-purity state compatible with the data is stabilizer-diagonal.  A
+negative a_k is answered as its magnitude: flipping K_k -> -K_k turns the graph
+state |G> into Z_k|G>, which is local-unitary equivalent, so no purity or
+entropy bound depends on the signs.  With every a_k so read as |a_k|, the
+state has coefficients
 
     c[i] = sum_k i_k a_k - popcount(i) + 1,
 
@@ -16,8 +19,8 @@ entropy and certificate all read it from there (through
 
 Each quantity has one public entrance: p_min, its error bars and the
 warnings come from :func:`min_purity`, both entropy bounds from
-:func:`estimate_entropy`, and the optimality test from
-:func:`closed_form_is_optimal` (which :func:`kkt_certificate` reports).
+:func:`estimate_entropy`, and the optimality verdict from
+:func:`kkt_certificate` (its ``valid``).
 
 Every sum is Shewchuk's exact ``math.fsum``, rounded once.  lambda_0 is one
 such sum of exact terms, so it is correctly rounded even as it nears 0, and no
@@ -33,8 +36,9 @@ records failing that condition still get the closed-form value (a reachable
 upper bound on the minimum purity) plus a warning, and the certificate reports
 the violation as ``valid=False``.
 
-Each public function that needs a sign-normalized record checks that once and
-then works on the tuple ``record.a``.
+Each public function reads the magnitudes ``tuple(map(abs, record.a))`` once
+(abs also turns a -0.0 into 0.0) and works on that tuple; ``nu``, ``lambda0``
+and ``singles`` refer to the sign-normalized generators.
 
 ``KktCertificate`` and ``EntropyEstimate`` are named tuples, which unpack and
 compare by value; the validated record and ``PurityEstimate`` stay dataclasses.
@@ -123,8 +127,9 @@ class KktCertificate(NamedTuple):
     nu[k] (k >= 1) at the index with only bit k-1 set.  Of the 2^n inequality
     multipliers only their minimum ``min_mu`` is kept: the rest of the KKT
     conditions hold by construction (derivation in :func:`kkt_certificate`).
-    ``valid`` is the verdict of :func:`closed_form_is_optimal`, the one exact
-    optimality test, so it never disagrees with the estimator's warning.
+    ``valid`` is the verdict of the one exact optimality test, which the
+    estimator's warning reads too, so the two never disagree.  The multipliers
+    refer to the sign-normalized generators, whose expectations are |a_k|.
     """
 
     nu: tuple
@@ -144,25 +149,6 @@ def binary_entropy(p: float) -> float:
         if q > 0.0:
             out -= q * math.log(q)
     return out
-
-
-def normalize_signs(record: MeasurementRecord) -> tuple[MeasurementRecord, str]:
-    """Flip negative expectations, redefining those generators as their negatives.
-
-    Returns the all-nonnegative record and a bit string whose character k is
-    '1' iff generator k was flipped (K_k -> -K_k).
-    """
-    signs = "".join(["1" if x < 0.0 else "0" for x in record.a])
-    if "1" not in signs and 0.0 not in record.a:  # abs() also turns a -0.0 into 0.0
-        return record, signs
-    return MeasurementRecord(record.n, tuple(map(abs, record.a)), record.delta_a), signs
-
-
-def _normalized(record: MeasurementRecord) -> tuple:
-    """The record's expectations, once checked to be sign-normalized."""
-    if min(record.a) < 0.0:
-        raise ValueError("record has negative expectations; run normalize_signs first")
-    return record.a
 
 
 def _spectrum(a: tuple) -> tuple[float, tuple]:
@@ -193,12 +179,6 @@ def _two_smallest(a: tuple) -> tuple[float, float]:
 
 
 def _is_optimal(a: tuple) -> bool:
-    if len(a) < 2:
-        return True
-    return math.fsum((-len(a), *a, *_two_smallest(a))) >= 0.0
-
-
-def closed_form_is_optimal(record: MeasurementRecord) -> bool:
     """Whether the closed-form candidate satisfies all optimality conditions.
 
     Nonnegativity of every inequality multiplier reduces to the two-bit
@@ -209,7 +189,9 @@ def closed_form_is_optimal(record: MeasurementRecord) -> bool:
     with a_min1, a_min2 the two smallest expectations (for n = 1 there is no
     two-bit index and the condition is vacuous).
     """
-    return _is_optimal(_normalized(record))
+    if len(a) < 2:
+        return True
+    return math.fsum((-len(a), *a, *_two_smallest(a))) >= 0.0
 
 
 def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> PurityEstimate:
@@ -217,6 +199,8 @@ def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> Pur
 
     O(n): the spectrum is (lambda_0, (1 - a_k)/2 ..., 0 x (2^n - n - 1)) and
     p_min is its sum of squares.  Raises InfeasibleRecord when lambda_0 < 0.
+    Every a_k here is |a_k|, so ``lambda0`` and ``singles`` are the spectrum
+    in the basis of the sign-normalized generators.
 
     p_lower and p_upper are the closed-form purity at the shifted records
     a -+ delta_a, each entry clipped to [0, 1].  The upward shift always stays feasible
@@ -232,7 +216,7 @@ def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> Pur
     The pairwise-sum warning flags a_j + a_k < 1 over all pairs, or over the
     edges of ``graph`` if one is supplied.
     """
-    a = _normalized(record)
+    a = tuple(map(abs, record.a))
     lam0, singles = _feasible_spectrum(a)
     p_min = _purity(lam0, singles)
     p_upper = _purity(*_spectrum([x if x < 1.0 else 1.0 for x in map(add, a, record.delta_a)]))
@@ -284,13 +268,14 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
     by construction.  With S_m the sum of the m largest s_k (a prefix sum of the
     sorted s_k), min_mu = min(0, min_{m >= 2} 2 ((m - 1) lambda_0 - S_m)).
 
+    Every a_k here is |a_k|, so ``nu`` refers to the sign-normalized generators.
     The increments lambda_0 - s_(m+1) grow with m, so min_mu < 0 iff the
-    two-bit term is, which is the test of :func:`closed_form_is_optimal`;
-    ``valid`` is that function's verdict, the exact sign of one sum.
-    Every feasible record gets its certificate, valid or not; the only raise
-    on a sign-normalized record is InfeasibleRecord, below the gate.
+    two-bit term is, which is the test of :func:`_is_optimal`; ``valid`` is
+    that test's verdict, the exact sign of one sum.  Every feasible record gets
+    its certificate, valid or not; the only raise is InfeasibleRecord, below
+    the gate.
     """
-    a = _normalized(record)
+    a = tuple(map(abs, record.a))
     lam0, s = _feasible_spectrum(a)
     nu_singles = [sk - lam0 for sk in s]
     nu = (-2.0 * lam0 - math.fsum(nu_singles), *nu_singles)
@@ -313,7 +298,7 @@ def estimate_entropy(record: MeasurementRecord) -> EntropyEstimate:
     lambda_j = prod_k (1 + (-1)^{j_k} a_k)/2, so S_max = sum_k h((1+a_k)/2).
     It has no feasibility gate.
     """
-    a = _normalized(record)
+    a = tuple(map(abs, record.a))
     lam0, singles = _spectrum(a)
     s_lower = None if lam0 < 0.0 else math.fsum([-s * math.log(s) for s in (lam0, *singles) if s > 0.0])
     return EntropyEstimate(s_lower, math.fsum(map(binary_entropy, [(1.0 + ak) / 2.0 for ak in a])))

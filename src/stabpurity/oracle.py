@@ -63,7 +63,10 @@ README's samples did.  The re-solves end at the first certified spectrum,
 or when S' = S, when a system is singular, or after n + 1 solves, the dual
 dimension.  Then the off-S index of highest score joins S, as in Lawson &
 Hanson's outer loop, and the re-solves start over, n + 1 rounds at most
-before the next sweep runs.  This is for an a_k just below 1: its tiny mass
+before the next sweep runs.  Ordinary in-domain records can need both: an
+n = 7 record certifies after one join, and an n = 5 record declines all
+n + 1 rounds of its first sweep and certifies in the second (both are in
+the tests).  An a_k just below 1 is the hard case: its tiny mass
 (1 - a_k)/2 on bit k = 1 lies along a nearly flat dual direction, so the
 sweep's S keeps bit k at 0, where row k of B_S repeats the all-ones row and
 the system is singular.  A few rounding units below 1 the joins do not
@@ -87,7 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagonal import DenseCapExceeded, dephased_coefficients, twirl
-from .estimator import MeasurementRecord, closed_form_is_optimal, estimate_entropy, min_purity
+from .estimator import MeasurementRecord, estimate_entropy, kkt_certificate, min_purity
 from .stabilizer import DENSE_CAP, GraphSpec
 
 #: QP sweep budget.
@@ -401,7 +404,7 @@ def run_oracle_trials(trials: int, n_min: int, n_max: int, seed: int) -> dict:
         lo = rng.uniform(0.0, 0.45, size=n)
         # deficits sum to at most 1.99, so rounding cannot take sum(a) below n - 2
         probe_record = MeasurementRecord(n, 1.0 - lo * (1.99 / max(0.995, lo.sum())))
-        if not closed_form_is_optimal(probe_record):
+        if not kkt_certificate(probe_record).valid:
             band["count"] += 1
             diff = _qp_gap(probe_record)
             band["max_closed_minus_qp"] = max(band["max_closed_minus_qp"], diff)

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from stabpurity.diagonal import Spectrum, coefficients, walsh_hadamard_inplace
-from stabpurity.estimator import MeasurementRecord, closed_form_is_optimal
+from stabpurity.estimator import MeasurementRecord, kkt_certificate
 from stabpurity.stabilizer import GraphSpec
 
 
@@ -127,7 +127,7 @@ def suboptimal_record(rng, n: int) -> MeasurementRecord:
     assert n >= 2
     while True:
         record = feasible_record(rng, n)
-        if not closed_form_is_optimal(record):
+        if not kkt_certificate(record).valid:
             return record
 
 

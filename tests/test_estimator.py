@@ -13,11 +13,9 @@ from stabpurity.estimator import (
     InfeasibleRecord,
     MeasurementRecord,
     binary_entropy,
-    closed_form_is_optimal,
     estimate_entropy,
     kkt_certificate,
     min_purity,
-    normalize_signs,
 )
 from stabpurity.oracle import max_entropy_numeric, qp_min_purity
 from stabpurity.stabilizer import DENSE_CAP, GraphSpec
@@ -97,26 +95,43 @@ class TestRecordValidation:
             MeasurementRecord(2, [[0.5, 0.5], [0.5, 0.5]])
 
 
-class TestNormalizeSigns:
-    def test_flips_negative_entries(self):
-        fixed, signs = normalize_signs(record(0.9, -0.8))
-        np.testing.assert_array_equal(fixed.a, [0.9, 0.8])
-        assert signs == "01"
+def outcome(fn, *args):
+    """``fn(*args)``, or the message of the InfeasibleRecord it raised."""
+    try:
+        return fn(*args)
+    except InfeasibleRecord as exc:
+        return str(exc)
 
-    def test_positive_record_unchanged(self):
-        rec = record(0.5, 0.5)
-        fixed, signs = normalize_signs(rec)
-        assert fixed is rec
-        assert signs == "00"
 
-    def test_all_negative(self):
-        fixed, signs = normalize_signs(record(-1.0, -1.0))
-        np.testing.assert_array_equal(fixed.a, [1.0, 1.0])
-        assert signs == "11"
+@st.composite
+def signed_records(draw, max_n: int) -> tuple:
+    """(signed record, its |a| record): magnitudes feasible, at the gate or anywhere in
+    [0, 1] (0 and 1 included), each negated or not, so 0.0 may become -0.0."""
+    unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+    plain = draw(st.one_of(
+        feasible_records(max_n),
+        feasibility_edge_records(max_n),
+        st.lists(unit, min_size=1, max_size=max_n).map(lambda a: MeasurementRecord(len(a), a)),
+    ))
+    n = plain.n
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    delta = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    signed = MeasurementRecord(n, [-x if flip else x for x, flip in zip(plain.a, flips)], delta)
+    return signed, MeasurementRecord(n, plain.a, delta)
 
-    def test_unnormalized_record_rejected_downstream(self):
-        with pytest.raises(ValueError, match="normalize_signs"):
-            min_purity(record(-0.5, 0.9))
+
+class TestSignedRecords:
+    """Flipping K_k -> -K_k turns |G> into the local-unitary-equivalent Z_k|G>,
+    so a signed record gets exactly the answers of its |a| record."""
+
+    @given(signed_records(12), st.booleans())
+    @settings(max_examples=500)
+    def test_signed_record_is_answered_as_its_magnitudes(self, records, on_path):
+        signed, plain = records
+        graph = GraphSpec(plain.n, [(k, k + 1) for k in range(plain.n - 1)]) if on_path else None
+        assert outcome(min_purity, signed, graph) == outcome(min_purity, plain, graph)
+        assert outcome(kkt_certificate, signed) == outcome(kkt_certificate, plain)
+        assert estimate_entropy(signed) == estimate_entropy(plain)
 
 
 class TestCoefficients:
@@ -353,7 +368,7 @@ class TestCertificate:
         for trial in range(120):
             n = 2 + trial % 4
             rec = feasible_record(rng, n)
-            assert kkt_certificate(rec).valid == closed_form_is_optimal(rec)
+            assert kkt_certificate(rec).valid == exact_verdicts(rec)[1]
 
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleRecord):
@@ -364,13 +379,13 @@ class TestCertificate:
         rng = np.random.default_rng(33)
         for n in (DENSE_CAP + 1, 200, 10**5):
             rec = optimal_record(rng, n)
-            assert kkt_certificate(rec).valid == closed_form_is_optimal(rec) is True
+            assert kkt_certificate(rec).valid is True
             low = rng.choice(n, size=2, replace=False)
             a = np.ones(n)
             a[low] = 0.3  # lambda_0 = 0.3 < 0.35 + 0.35
             rec = MeasurementRecord(n, a)
             cert = kkt_certificate(rec)
-            assert cert.valid == closed_form_is_optimal(rec) is False
+            assert cert.valid is False
             assert cert.min_mu == pytest.approx(2 * (0.3 - 0.7))
 
     @given(feasible_records(max_n=DENSE_CAP))
@@ -380,13 +395,13 @@ class TestCertificate:
         mu, stationarity, complementarity = dense_kkt(rec, cert.nu)
         assert abs(cert.min_mu - mu.min()) <= 1e-12
         assert stationarity <= 1e-9 and complementarity <= 1e-9
-        assert cert.valid == closed_form_is_optimal(rec)
+        assert cert.valid == exact_verdicts(rec)[1]
 
     @given(boundary_records(max_n=DENSE_CAP, width=1e-9))
     @example(MeasurementRecord(2, [0.5, 0.4999999999]))  # margin -2e-10
     @settings(max_examples=300)
     def test_verdict_and_warning_agree_at_the_optimality_boundary(self, rec):
-        assert kkt_certificate(rec).valid == closed_form_is_optimal(rec)
+        assert kkt_certificate(rec).valid == exact_verdicts(rec)[1]
         report = build_report(rec, None, {}, "")
         warned = any("not optimal" in w for w in report["warnings"])
         assert warned == (report["certificate"]["valid"] is False)
@@ -421,12 +436,12 @@ class TestExactGates:
     @settings(max_examples=1000)
     def test_verdicts_match_exact_arithmetic(self, rec):
         feasible, optimal, pairs_ok = exact_verdicts(rec)
-        assert closed_form_is_optimal(rec) == optimal
         assert (estimate_entropy(rec).s_lower is not None) == feasible
         if not feasible:
             with pytest.raises(InfeasibleRecord):
                 min_purity(rec)
             return
+        assert kkt_certificate(rec).valid == optimal
         path = GraphSpec(rec.n, [(k, k + 1) for k in range(rec.n - 1)])
         assert pairwise_warned(rec) != pairs_ok
         assert pairwise_warned(rec, path) != exact_verdicts(rec, path)[2]
@@ -525,7 +540,7 @@ class TestSingleGenerator:
             ent = estimate_entropy(rec)
             assert ent.s_lower == pytest.approx(h, abs=1e-12)
             assert ent.s_max == pytest.approx(h, abs=1e-12)
-            assert closed_form_is_optimal(rec)
+            assert kkt_certificate(rec).valid
 
 
 class TestValueTypes:

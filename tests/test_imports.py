@@ -2,7 +2,8 @@
 reproduce-tables and an oracle-check refusal without numpy, numpy imported by
 the dense modules alone, no module reaching into another's private names, no
 module importing a name it never reads, no exception class that is never
-raised, and no docstring naming a private name its module lacks."""
+raised, and no docstring naming a private name or cross-referencing an object
+its module lacks."""
 
 import ast
 import builtins
@@ -226,18 +227,46 @@ def test_every_exception_attribute_is_read():
     assert sorted(f"{cls}.{attr}" for cls, attr in stored if attr not in read) == []
 
 
-def test_docstrings_name_only_existing_private_names():
-    """A double-backquoted private name (``_name``) in a docstring of a package
-    module is an attribute of that module, so a removed constant or helper
-    leaves no stale reference behind."""
-    stale = []
+def package_docstrings():
+    """(file name, module, docstring) for every docstring of every package module."""
     for path in sorted(Path(stabpurity.__file__).parent.glob("*.py")):
         module = importlib.import_module("stabpurity" if path.stem == "__init__" else f"stabpurity.{path.stem}")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                names = re.findall(r"``(_\w+)``", ast.get_docstring(node) or "")
-                stale += [f"{path.name}: {name}" for name in names if not hasattr(module, name)]
+                yield path.name, module, ast.get_docstring(node) or ""
+
+
+def test_docstrings_name_only_existing_private_names():
+    """A double-backquoted private name (``_name``) in a docstring of a package
+    module is an attribute of that module, so a removed constant or helper
+    leaves no stale reference behind."""
+    stale = [
+        f"{name}: {ref}"
+        for name, module, doc in package_docstrings()
+        for ref in re.findall(r"``(_\w+)``", doc)
+        if not hasattr(module, ref)
+    ]
     assert stale == []
+
+
+def test_docstring_cross_references_resolve():
+    """A :func:, :class: or :meth: reference in a docstring of a package module
+    names an attribute (dotted for a method) of that module, so a deleted
+    public name leaves no stale reference behind."""
+
+    def resolves(module, ref: str) -> bool:
+        owner = module
+        for part in ref.split("."):
+            owner = getattr(owner, part, None)
+        return owner is not None
+
+    refs = [
+        (name, module, ref)
+        for name, module, doc in package_docstrings()
+        for ref in re.findall(r":(?:func|class|meth):`~?([\w.]+)`", doc)
+    ]
+    assert refs  # the pattern still matches the package's reference style
+    assert [f"{name}: {ref}" for name, module, ref in refs if not resolves(module, ref)] == []
 
 
 def test_readme_library_example_runs():
@@ -247,5 +276,7 @@ def test_readme_library_example_runs():
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     ns = {}
     exec(compile(code, "README.md", "exec"), ns)
-    assert ns["check"].objective == pytest.approx(ns["est"].p_min, abs=1e-6)
+    # the estimate of the signed record and the QP on its |a| record agree
+    assert min(ns["record"].a) < 0.0
+    assert ns["check"].objective == pytest.approx(ns["est"].p_min, abs=1e-12)
     assert 0.0 <= ns["ent"].s_lower <= ns["ent"].s_max

@@ -11,8 +11,8 @@ from stabpurity.estimator import (
     InfeasibleRecord,
     MeasurementRecord,
     binary_entropy,
-    closed_form_is_optimal,
     estimate_entropy,
+    kkt_certificate,
     min_purity,
 )
 from stabpurity.oracle import (
@@ -210,12 +210,12 @@ class TestQp:
         assert sol.kkt_residual <= 1e-12
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12, 1e-15, 3 * 2.0**-53])
-    def test_near_pinned_records_certify(self, gap):
+    def test_near_pinned_records_certify(self, gap, monkeypatch):
         # a_k = 1 - gap leaves a mass gap/2 on bit k = 1 that the sweep barely moves
-        # toward, so its support keeps bit k at 0 and solves singular; the
-        # best-scoring index joining the support supplies the missing eigenvalue
-        # (without it, a_k = 1 - 1e-10 swept on to the budget)
+        # toward; up to 3 such a_k, pinned or not, the first sweep's support of each
+        # of these 24 records certifies at its first _certify call, with no join
         rng = np.random.default_rng(120)
+        calls = self.spy_certify(monkeypatch)
         for n in range(2, 8):
             for _ in range(4):
                 a = rng.uniform(0.0, 1.0, n)
@@ -224,8 +224,37 @@ class TestQp:
                 sol = qp_min_purity(rec)
                 assert sol.kkt_residual <= 1e-12
                 assert sol.iterations == 1
-                if closed_form_is_optimal(rec):
+                try:
+                    cert = kkt_certificate(rec)
+                except InfeasibleRecord:
+                    continue
+                if cert.valid:
                     assert abs(sol.objective - min_purity(rec).p_min) <= 1e-12
+        assert len(calls) == 24 and all(x is not None for _, x in calls)
+
+    @pytest.mark.parametrize(
+        "a, checks, iterations",
+        [
+            pytest.param([0.9341359749590945, 0.6788513980064843, 0.6381853013842094,
+                          0.6813316525573624, 0.7522985601681769], 7, 2, id="second-sweep"),
+            pytest.param([0.7129764272199567, 0.9985005537662128, 0.6650569853272718,
+                          0.7191708549817392, 0.8581305040492287, 0.9259857184200254,
+                          0.74577237169381], 2, 1, id="join"),
+        ],
+    )
+    def test_ordinary_records_reach_the_join(self, a, checks, iterations, monkeypatch):
+        # no a_k near 1, and the closed form optimal: yet the first sweep's support
+        # declines, so the best-scoring index joins it.  At n = 7 the join certifies
+        # in the first sweep; at n = 5 all n + 1 rounds decline and the second
+        # sweep's first check certifies
+        rec = MeasurementRecord(len(a), a)
+        calls = self.spy_certify(monkeypatch)
+        sol = qp_min_purity(rec)
+        assert [x is None for _, x in calls] == [True] * (checks - 1) + [False]
+        assert sol.iterations == iterations
+        assert sol.kkt_residual <= 1e-12
+        assert kkt_certificate(rec).valid
+        assert abs(sol.objective - min_purity(rec).p_min) <= 1e-12
 
     def test_a_rounding_unit_below_1_is_pinned(self):
         # a_6 = 1 - 2^-53 beside a_2 = 1 - 1e-14: left in the record, every check's
@@ -268,7 +297,11 @@ class TestQp:
         assert sol.iterations == 1
         assert sol.kkt_residual <= 1e-12
         assert not sol.lambda_star[[j for j in range(1 << rec.n) if j >> k & 1]].any()
-        if closed_form_is_optimal(rec):
+        try:
+            cert = kkt_certificate(rec)
+        except InfeasibleRecord:
+            return
+        if cert.valid:
             assert abs(sol.objective - min_purity(rec).p_min) <= 1e-12
 
     def test_pinned_record_certifies(self):
@@ -391,7 +424,7 @@ class TestPolish:
     def test_negative_spectrum_rejected(self):
         # full support on a domain record: B^T b / 4 has (1 - 0.99 - 0.95) / 4 < 0
         rows, b = self.system(0.99, 0.95)
-        assert closed_form_is_optimal(MeasurementRecord(2, (0.99, 0.95)))
+        assert kkt_certificate(MeasurementRecord(2, (0.99, 0.95))).valid
         x, scores = _polish(rows, b, self.support(2, range(4)))
         assert x is None
         assert scores[3] < 0.0
