@@ -310,7 +310,7 @@ def replay_instance(doc) -> dict:
 
     Raises MalformedInput naming the field unless the document is an object
     with a known ``kind``, ``n`` in 1..DENSE_CAP (10), and either ``a`` (n numbers
-    in [0, 1]) or, for the integrator, a ``gamma_t`` in [0, MAX_GAMMA_T].
+    in [-1, 1], each read as |a_k|) or, for the integrator, a ``gamma_t`` in [0, MAX_GAMMA_T].
     """
     from . import oracle  # brings numpy, which estimate never needs
     if not isinstance(doc, dict):
@@ -324,7 +324,7 @@ def replay_instance(doc) -> dict:
         if not _is_number(x) or not 0 <= x <= oracle.MAX_GAMMA_T:
             raise MalformedInput(f"field 'gamma_t': expected a number in [0, {oracle.MAX_GAMMA_T}], got {x!r}")
     else:
-        x = _number_list(doc, "a", n, 0.0, 1.0)
+        x = _number_list(doc, "a", n, -1.0, 1.0)
     gap, tolerance = oracle.instance_gap(kind, n, x), oracle.TOLERANCES[kind]
     return {"kind": kind, "gap": gap, "tolerance": tolerance, "ok": gap <= tolerance}
 

@@ -202,10 +202,11 @@ def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> Pur
     Every a_k here is |a_k|, so ``lambda0`` and ``singles`` are the spectrum
     in the basis of the sign-normalized generators.
 
-    p_lower and p_upper are the closed-form purity at the shifted records
-    a -+ delta_a, each entry clipped to [0, 1].  The upward shift always stays feasible
-    when the record is; the downward shift may not be, in which case p_lower
-    is None and a warning says so.  The bars shift every a_k by its delta_a_k
+    The true minimum is nondecreasing in every a_k; the closed form equals it
+    only on the optimal region.  So p_lower is the closed form at a - delta_a,
+    capped at p_min, if that record is optimal (else None, with a warning), and
+    p_upper the larger of p_min and the closed form at a + delta_a, each shifted
+    a_k clipped to [0, 1].  The bars shift every a_k by its delta_a_k
     together; they are not a confidence interval at a fixed level.  Under
     independent Gaussian errors with standard deviations delta_a_k they cover
     the true p_min with probability
@@ -219,9 +220,9 @@ def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> Pur
     a = tuple(map(abs, record.a))
     lam0, singles = _feasible_spectrum(a)
     p_min = _purity(lam0, singles)
-    p_upper = _purity(*_spectrum([x if x < 1.0 else 1.0 for x in map(add, a, record.delta_a)]))
-    low0, low_singles = _spectrum([x if x > 0.0 else 0.0 for x in map(sub, a, record.delta_a)])
-    p_lower = None if low0 < 0.0 else _purity(low0, low_singles)
+    p_upper = max(p_min, _purity(*_spectrum([x if x < 1.0 else 1.0 for x in map(add, a, record.delta_a)])))
+    low = [x if x > 0.0 else 0.0 for x in map(sub, a, record.delta_a)]
+    p_lower = min(p_min, _purity(*_spectrum(low))) if _is_optimal(low) else None
 
     if graph is None:
         pairs_ok = len(a) < 2 or math.fsum((-1.0, *_two_smallest(a))) >= 0.0
@@ -241,7 +242,7 @@ def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> Pur
             "minimum purity; compare with the numeric solver for small n"
         )
     if p_lower is None:
-        warnings.append("downward-shifted record is infeasible; no lower error bar")
+        warnings.append("downward-shifted record is outside the closed form's optimal region; no lower error bar")
 
     return PurityEstimate(
         p_min=p_min,

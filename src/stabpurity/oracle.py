@@ -9,17 +9,21 @@ the entry's row and column with the sign of the initial entry restored exactly.
 None of these paths share formulas with the estimator module they are used
 to check.
 
+Like the estimator, both solvers read every a_k as |a_k| (flipping K_k -> -K_k
+turns |G> into the local-unitary equivalent Z_k|G>, which flips bit k of every
+index), so the spectra they return refer to the sign-normalized generators.
+
 The purity QP is run in the eigenvalue basis, where positivity is the
 nonnegative orthant and each measured expectation is a single-bit parity sum:
 
     minimize sum_j lambda_j^2
     s.t.     sum_j lambda_j = 1,
-             sum_j (-1)^{j_k} lambda_j = a_k   (k = 1..n),
+             sum_j (-1)^{j_k} lambda_j = |a_k|   (k = 1..n),
              lambda >= 0.
 
 Minimizing the sum of squares over that set is exactly the Euclidean
 projection of the origin onto it.  Write B for the (n+1) x 2^n constraint
-matrix (Walsh characters, so B B^T = 2^n I) and b = (1, a).  The Lagrange
+matrix (Walsh characters, so B B^T = 2^n I) and b = (1, |a|).  The Lagrange
 dual of that projection is the concave function of n + 1 coefficients
 
     D(nu) = b . nu - ||max(B^T nu, 0)||^2 / 2,    grad D(nu) = b - B max(B^T nu, 0),
@@ -131,7 +135,8 @@ def _sign_matrix(n: int) -> np.ndarray:
 def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     """Numeric minimum purity over the eigenvalue simplex; see module docstring.
 
-    Deterministic.  An a_k within 2^-44 of 1 is pinned: it is taken as 1,
+    Deterministic; ``lambda_star`` is over the sign-normalized generators.  An
+    |a_k| within 2^-44 of 1 is pinned: it is taken as 1,
     which forces lambda_j = 0 wherever bit k of j is set, so it is removed and
     the rest of the record fills, in ascending order, the indices with every
     pinned bit clear (lambda_0 = 1, in one sweep, if all are pinned).  That is
@@ -144,12 +149,11 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     on the full record: the polish's ``_CERT_TOL``, plus at most 2^-44 on a
     pinned row.
     Raises NotConverged past ``_MAX_ITER`` sweeps.  The constraint set is
-    never empty on [0, 1]^n: the product spectrum prod_k (1 +- a_k)/2 fits it.
+    never empty: the product spectrum prod_k (1 +- |a_k|)/2 fits it.
     """
     if record.n > DENSE_CAP:
         raise DenseCapExceeded(record.n, "numeric quadratic program")
-    _require_unit_interval(record.a)
-    full, full_b = _sign_matrix(record.n), np.concatenate(([1.0], record.a))
+    full, full_b = _sign_matrix(record.n), np.concatenate(([1.0], np.abs(record.a)))
     free = np.concatenate(([True], full_b[1:] < 1.0 - 2.0**-44))  # sum row, unpinned a_k
     clear = (full[~free] > 0.0).all(axis=0)  # the indices with every pinned bit clear
     # on ``clear`` the free rows are the reduced record's sign matrix, in row-major order
@@ -206,11 +210,6 @@ def _polish(
     return None, scores
 
 
-def _require_unit_interval(a) -> None:
-    if not all(0.0 <= x <= 1.0 for x in a):
-        raise ValueError("expectations must be sign-normalized into [0, 1]")
-
-
 def _solve_tanh(target: float) -> float:
     """Monotone bisection for tanh(theta) = target, target in [0, 1]."""
     tanh, lo, hi = math.tanh, 0.0, 1.0
@@ -235,18 +234,17 @@ def max_entropy_numeric(record: MeasurementRecord) -> tuple[np.ndarray, float]:
 
     The entropy maximizer has the Gibbs form lambda_j proportional to
     exp(sum_k theta_k (-1)^{j_k}); the constraints decouple into one monotone
-    equation tanh(theta_k) = a_k per generator, solved by bisection; at
-    a_k = 1 it stops at theta_k ~ 19.06, where 1/(1 + exp(-2 theta_k)) rounds
+    equation tanh(theta_k) = |a_k| per generator, solved by bisection; at
+    |a_k| = 1 it stops at theta_k ~ 19.06, where 1/(1 + exp(-2 theta_k)) rounds
     to 1, so that bit is 0.  The entropy is then evaluated directly from the
     assembled 2^n spectrum.
-    Returns (lambda_star, s_max).
+    Returns (lambda_star, s_max), lambda_star over the sign-normalized generators.
     """
     if record.n > DENSE_CAP:
         raise DenseCapExceeded(record.n, "numeric entropy maximization")
-    _require_unit_interval(record.a)
     lam = np.array([1.0])
-    for ak in record.a:
-        p_zero = 1.0 / (1.0 + math.exp(-2.0 * _solve_tanh(float(ak))))
+    for ak in map(abs, record.a):
+        p_zero = 1.0 / (1.0 + math.exp(-2.0 * _solve_tanh(ak)))
         # bit k of the eigenvector index must vary fastest for lower k: the
         # Kronecker product [p_zero, 1 - p_zero] (x) lam, same products
         lam = (np.array([[p_zero], [1.0 - p_zero]]) * lam).ravel()
@@ -357,8 +355,8 @@ def _qp_gap(record: MeasurementRecord) -> float:
 def instance_gap(kind: str, n: int, x) -> float:
     """Deviation of one closed form from its numeric check; compare with ``TOLERANCES[kind]``.
 
-    ``x`` is the expectation list a (n numbers in [0, 1]) for ``"qp"`` and
-    ``"entropy"``, and gamma*t for ``"integrator"``.  The deviation is
+    ``x`` is the expectation list a (n numbers in [-1, 1], read as |a_k|) for
+    ``"qp"`` and ``"entropy"``, and gamma*t for ``"integrator"``.  The deviation is
     |p_min - QP optimum|, |S_max - numeric maximum entropy|, or the largest
     coefficient error of the integrated dephased path-n, respectively.
     """

@@ -94,6 +94,29 @@ def pair_edge_records(draw, max_n: int) -> MeasurementRecord:
     return MeasurementRecord(2 + len(rest), [x, y, *rest])
 
 
+@st.composite
+def signed_records(draw, max_n: int, magnitudes=None, max_delta: float = 2.0) -> tuple:
+    """(signed record, its |a| record), both with the same delta_a_k in [0, max_delta].
+
+    The magnitudes are drawn from ``magnitudes``, by default feasible, at the
+    gate or anywhere in [0, 1] (0 and 1 included); each is negated or not, so
+    0.0 may become -0.0.
+    """
+    if magnitudes is None:
+        unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+        magnitudes = st.one_of(
+            feasible_records(max_n),
+            feasibility_edge_records(max_n),
+            st.lists(unit, min_size=1, max_size=max_n).map(lambda a: MeasurementRecord(len(a), a)),
+        )
+    plain = draw(magnitudes)
+    n = plain.n
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    delta = draw(st.lists(st.floats(0.0, max_delta), min_size=n, max_size=n))
+    signed = MeasurementRecord(n, [-x if flip else x for x, flip in zip(plain.a, flips)], delta)
+    return signed, MeasurementRecord(n, plain.a, delta)
+
+
 def exact_verdicts(record: MeasurementRecord, graph: GraphSpec | None = None) -> tuple[bool, bool, bool]:
     """(feasible, optimal, pairs_ok) of a sign-normalized record in ``Fraction`` arithmetic.
 

@@ -399,6 +399,16 @@ class TestOracleCheck:
         assert code1 == code2 == 3
         assert json.loads(out1)["gap"] == json.loads(out2)["gap"] > 1e-6
 
+    @pytest.mark.parametrize("kind", ["qp", "entropy"])
+    def test_replay_answers_a_signed_record_as_its_magnitudes(self, tmp_path, capsys, kind):
+        results = []
+        for a in ([0.9, -0.5], [0.9, 0.5]):
+            f = write_json(tmp_path / "inst.json", {"kind": kind, "n": 2, "a": a})
+            code, out, _ = run(capsys, "oracle-check", "--input", f)
+            assert code == 0
+            results.append(json.loads(out))
+        assert results[0] == results[1]
+
     def test_replay_within_tolerance(self, tmp_path, capsys):
         f = write_json(tmp_path / "inst.json",
                        {"kind": "integrator", "n": 2, "gamma_t": 0.1})
@@ -418,7 +428,7 @@ class TestOracleCheck:
             ({"kind": "qp", "n": True, "a": [0.9]}, "n"),
             ({"kind": "qp", "n": 2.0, "a": [0.9, 0.8]}, "n"),
             ({"kind": "qp", "n": 2, "a": [0.9]}, "a"),
-            ({"kind": "qp", "n": 2, "a": [0.9, -0.5]}, "a"),
+            ({"kind": "qp", "n": 2, "a": [0.9, -1.5]}, "a"),
             ({"kind": "entropy", "n": 2, "a": [0.9, 1.5]}, "a"),
             ({"kind": "entropy", "n": 2, "a": [0.9, "x"]}, "a"),
             ({"kind": "integrator", "n": 2}, "gamma_t"),

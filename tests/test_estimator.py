@@ -28,6 +28,7 @@ from support import (
     feasible_records,
     optimal_record,
     pair_edge_records,
+    signed_records,
     suboptimal_record,
 )
 
@@ -101,23 +102,6 @@ def outcome(fn, *args):
         return fn(*args)
     except InfeasibleRecord as exc:
         return str(exc)
-
-
-@st.composite
-def signed_records(draw, max_n: int) -> tuple:
-    """(signed record, its |a| record): magnitudes feasible, at the gate or anywhere in
-    [0, 1] (0 and 1 included), each negated or not, so 0.0 may become -0.0."""
-    unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
-    plain = draw(st.one_of(
-        feasible_records(max_n),
-        feasibility_edge_records(max_n),
-        st.lists(unit, min_size=1, max_size=max_n).map(lambda a: MeasurementRecord(len(a), a)),
-    ))
-    n = plain.n
-    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    delta = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
-    signed = MeasurementRecord(n, [-x if flip else x for x, flip in zip(plain.a, flips)], delta)
-    return signed, MeasurementRecord(n, plain.a, delta)
 
 
 class TestSignedRecords:
@@ -199,6 +183,29 @@ class TestMinPurity:
             est = min_purity(optimal_record(rng, n))
             assert 0.5**n <= est.p_min <= 1.0
             assert est.p_lower <= est.p_min <= est.p_upper
+
+    @given(signed_records(DENSE_CAP, st.one_of(
+        feasible_records(DENSE_CAP),  # optimal and band records alike
+        boundary_records(DENSE_CAP, width=1e-3),  # at the optimality gate
+        feasibility_edge_records(DENSE_CAP),  # at the feasibility gate
+    ), max_delta=0.1))
+    # a band record whose closed form falls as a_2 or a_3 rises: the bars at the
+    # shifted records were p_lower 0.43215 > p_min 0.42505 > p_upper 0.41855
+    @example((record(0.99, -0.08, 0.09, delta=[0.01] * 3), None))
+    @settings(max_examples=200)
+    def test_bars_bracket_the_true_minimum(self, records):
+        # the true minimum is nondecreasing in every |a_k|, so the bars hold it and
+        # p_min wherever the record lies; p_lower may be missing, never misplaced
+        signed, _ = records
+        try:
+            est = min_purity(signed)
+        except InfeasibleRecord:  # an edge record rounded just below the gate
+            return
+        low = -math.inf if est.p_lower is None else est.p_lower
+        assert low <= est.p_min <= est.p_upper
+        objective = qp_min_purity(signed).objective
+        assert low - 1e-12 <= objective <= est.p_upper + 1e-12
+        assert (est.p_lower is None) == any("no lower error bar" in w for w in est.warnings)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleRecord, match="lambda_0"):

@@ -143,6 +143,22 @@ def test_stdout_bytes(run_id):
     assert out.encode("utf-8") == (EXPECTED / f"{run_id}.out").read_bytes()
 
 
+def test_estimate_bars_hold_p_min():
+    """Every JSON report in the corpus has p_lower <= p_min <= p_upper, and says
+    why exactly when p_lower is null, so a regeneration cannot pin a broken bar."""
+    codes, checked = _exit_codes(), 0
+    for path in sorted(EXPECTED.glob("estimate-*-json.out")):
+        if codes[path.stem] != 0:
+            continue
+        report = json.loads(path.read_text(encoding="utf-8"))
+        low = report["p_lower"]
+        assert (low if low is not None else -math.inf) <= report["p_min"] <= report["p_upper"], path.stem
+        warned = any(w.endswith("no lower error bar") for w in report["warnings"])
+        assert warned == (low is None), path.stem
+        checked += 1
+    assert checked >= 20
+
+
 @pytest.mark.parametrize("run_id", sorted(SIMULATE_RUNS))
 def test_simulate_bytes(run_id, tmp_path):
     code, files = _simulate(run_id, tmp_path)

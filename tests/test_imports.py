@@ -276,7 +276,7 @@ def test_readme_library_example_runs():
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     ns = {}
     exec(compile(code, "README.md", "exec"), ns)
-    # the estimate of the signed record and the QP on its |a| record agree
+    # the estimate and the numeric QP of the same signed record agree
     assert min(ns["record"].a) < 0.0
     assert ns["check"].objective == pytest.approx(ns["est"].p_min, abs=1e-12)
     assert 0.0 <= ns["ent"].s_lower <= ns["ent"].s_max

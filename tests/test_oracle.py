@@ -43,6 +43,7 @@ from support import (
     optimal_record,
     random_graph,
     rk4_reference,
+    signed_records,
     suboptimal_record,
 )
 
@@ -387,9 +388,21 @@ class TestQp:
         assert len(calls) > len(rec.a) + 1 and sol.iterations == 1
         self.assert_same_answer(sol, expected)
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="sign-normalized"):
-            qp_min_purity(record(-0.5))
+    @given(signed_records(4))
+    @settings(max_examples=100)
+    def test_signed_record_is_answered_as_its_magnitudes(self, records):
+        # flipping K_k -> -K_k flips bit k of every index: both solvers answer the
+        # |a| record, and the signed system's own optimum is that spectrum bit-flipped
+        signed, plain = records
+        sol, expected = qp_min_purity(signed), qp_min_purity(plain)
+        self.assert_same_answer(sol, expected)
+        assert sol.iterations == expected.iterations
+        lam, s_max = max_entropy_numeric(signed)
+        plain_lam, plain_s_max = max_entropy_numeric(plain)
+        assert np.array_equal(lam, plain_lam) and s_max == plain_s_max
+        flips = sum(1 << k for k, x in enumerate(signed.a) if x < 0.0)
+        flipped = sol.lambda_star[np.arange(1 << signed.n) ^ flips]
+        assert np.abs(primal_dykstra(signed) - flipped).max() <= 1e-8
 
     def test_not_converged_past_budget(self, monkeypatch):
         monkeypatch.setattr(oracle, "_certify", lambda *args: None)
