@@ -20,9 +20,8 @@ inputs produce byte-identical outputs.  Measurement schema:
      "graph": {"n": int, "edges": [[u, v], ...]}, "meta": {...}}
 
 with delta_a, shots, graph, and meta optional (the estimator needs only n and
-a; shots is checked but not used; the graph, when present, scopes the
-pairwise-sum warning to its edges; meta must hold no NaN or infinity, which
-the JSON report could not carry).
+a; shots and graph are checked but not used; meta must hold no NaN or
+infinity, which the JSON report could not carry).
 """
 
 import argparse

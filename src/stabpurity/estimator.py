@@ -214,8 +214,10 @@ def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> Pur
     w_k = dp_min/da_k = lambda_0 - (1 - a_k)/2.  With equal weights that is
     P(|Z| <= sqrt(n)): about 68, 84, 92 and 95% at n = 1, 2, 3, 4.
 
-    The pairwise-sum warning flags a_j + a_k < 1 over all pairs, or over the
-    edges of ``graph`` if one is supplied.
+    ``graph`` is only checked against the record's generator count.  No
+    pairwise-sum warning is needed: the optimality condition sum(a) + a_(1) +
+    a_(2) >= n with sum(a) <= a_(1) + a_(2) + n - 2 gives a_(1) + a_(2) >= 1,
+    so a pair summing below 1 already gets the "not optimal" warning.
     """
     a = tuple(map(abs, record.a))
     lam0, singles = _feasible_spectrum(a)
@@ -224,17 +226,10 @@ def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> Pur
     low = [x if x > 0.0 else 0.0 for x in map(sub, a, record.delta_a)]
     p_lower = min(p_min, _purity(*_spectrum(low))) if _is_optimal(low) else None
 
-    if graph is None:
-        pairs_ok = len(a) < 2 or math.fsum((-1.0, *_two_smallest(a))) >= 0.0
-    elif graph.n != len(a):
+    if graph is not None and graph.n != len(a):
         raise ValueError("graph and record disagree on generator count")
-    else:
-        pairs_ok = all(math.fsum((-1.0, a[u], a[v])) >= 0.0 for u, v in graph.edges)
 
     warnings = []
-    if not pairs_ok:
-        scope = "some neighboring" if graph is not None else "some"
-        warnings.append(f"{scope} expectation pairs sum below 1")
     if not _is_optimal(a):
         warnings.append(
             "closed-form minimizer is not optimal for this record (multiplier "

@@ -157,6 +157,7 @@ def qp_min_purity(record: MeasurementRecord) -> QpSolution:
     free = np.concatenate(([True], full_b[1:] < 1.0 - 2.0**-44))  # sum row, unpinned a_k
     clear = (full[~free] > 0.0).all(axis=0)  # the indices with every pinned bit clear
     # on ``clear`` the free rows are the reduced record's sign matrix, in row-major order
+    # (C order fixes the matmul rounding: full[free][:, clear] is F-ordered and moves the goldens)
     rows, b = full[np.ix_(free, clear)], full_b[free]
     dim = rows.shape[1]  # rows are orthogonal with norm^2 = dim
     step_rows, step_b = rows / dim, b / dim

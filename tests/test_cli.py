@@ -221,16 +221,6 @@ class TestEstimate:
         rebuilt = build_report(record, graph, meta, digest)
         assert parsed == rebuilt  # lossless serialization, full float precision
 
-    def test_graph_scopes_pairwise_warning(self, tmp_path, capsys):
-        doc = {"n": 3, "a": [0.9, 0.45, 0.45]}
-        f = write_json(tmp_path / "m.json", doc)
-        _, out, _ = run(capsys, "estimate", "--input", f, "--json")
-        assert any("sum below 1" in w for w in json.loads(out)["warnings"])
-        doc["graph"] = {"n": 3, "edges": [[0, 1], [0, 2]]}  # star: 1-2 not an edge
-        f2 = write_json(tmp_path / "m2.json", doc)
-        _, out2, _ = run(capsys, "estimate", "--input", f2, "--json")
-        assert not any("sum below 1" in w for w in json.loads(out2)["warnings"])
-
     def test_human_readable_output(self, tmp_path, capsys):
         f = write_json(tmp_path / "m.json", {"n": 2, "a": [0.9, 0.9]})
         code, out, _ = run(capsys, "estimate", "--input", f)

@@ -177,6 +177,10 @@ class TestMinPurity:
             np.testing.assert_allclose(full, reported_spectrum(rec), atol=1e-12)
             assert abs(min_purity(rec).p_min - np.dot(full, full)) < 1e-12
 
+    def test_graph_must_match_generator_count(self):
+        with pytest.raises(ValueError, match="disagree on generator count"):
+            min_purity(record(0.9, 0.9, 0.9), GraphSpec.preset("path-2"))
+
     def test_bounds_bracket_estimate(self):
         rng = np.random.default_rng(22)
         for n in (1, 2, 3, 5):
@@ -414,32 +418,11 @@ class TestCertificate:
         assert warned == (report["certificate"]["valid"] is False)
 
 
-def pairwise_warned(rec, graph=None) -> bool:
-    return any("sum below 1" in w for w in min_purity(rec, graph).warnings)
-
-
-class TestPairwiseCheck:
-    def test_all_pairs_when_no_graph(self):
-        assert not pairwise_warned(record(0.6, 0.6))
-        assert pairwise_warned(record(0.6, 0.3))
-
-    def test_graph_restricts_to_edges(self):
-        rec = record(0.9, 0.3, 0.9)
-        path = GraphSpec(3, [(0, 1), (1, 2)])
-        assert not pairwise_warned(rec, path)  # 0.9 + 0.3 >= 1 on both edges
-        assert pairwise_warned(record(0.6, 0.3, 0.9), path)
-        with pytest.raises(ValueError, match="disagree on generator count"):
-            min_purity(rec, GraphSpec.preset("path-2"))
-
-    def test_warning_issued(self):
-        est = min_purity(record(0.9, 0.45, 0.45))  # 0.45 + 0.45 < 1, still feasible
-        assert any("sum below 1" in w for w in est.warnings)
-
-
 class TestExactGates:
     """Each gate is the exact sign of one correctly rounded sum: no slack either way."""
 
     @given(st.one_of(feasibility_edge_records(12), boundary_records(12, 1e-15), pair_edge_records(12)))
+    @example(MeasurementRecord(2, [0.5, 0.49999999999999994]))  # exact pair sum 1 - 2^-54
     @settings(max_examples=1000)
     def test_verdicts_match_exact_arithmetic(self, rec):
         feasible, optimal, pairs_ok = exact_verdicts(rec)
@@ -449,9 +432,11 @@ class TestExactGates:
                 min_purity(rec)
             return
         assert kkt_certificate(rec).valid == optimal
+        # a pair below 1, on a path edge or anywhere, makes the record not optimal
         path = GraphSpec(rec.n, [(k, k + 1) for k in range(rec.n - 1)])
-        assert pairwise_warned(rec) != pairs_ok
-        assert pairwise_warned(rec, path) != exact_verdicts(rec, path)[2]
+        if not (pairs_ok and exact_verdicts(rec, path)[2]):
+            assert any("not optimal" in w for w in min_purity(rec).warnings)
+            assert kkt_certificate(rec).valid is False
 
     def test_feasibility_gate(self):
         below = record(0.19999999999999996, 0.19999999999999996, 0.6)  # exact lambda_0 = -2^-54
@@ -465,11 +450,6 @@ class TestExactGates:
         on = record(0.5, 0.5, 0.5, 0.5)  # the lambda0-zero golden: exactly on the gate
         assert min_purity(on).lambda0 == 0.0
         assert estimate_entropy(on).s_lower is not None
-
-    def test_pair_whose_float_sum_rounds_to_one_warns(self):
-        rec = record(0.5, 0.49999999999999994)  # exact sum 1 - 2^-54
-        assert pairwise_warned(rec)
-        assert pairwise_warned(rec, GraphSpec.preset("path-2"))
 
 
 class TestEntropy:

@@ -170,17 +170,18 @@ class TestQp:
         # an a_k of exactly 0 or 1 leaves the optimum uniform on the 2^zeros
         # eigenvalues that fit the pinned bits; the ones are removed before the
         # solve, so the all-ones record sweeps once and certifies lambda_0 = 1
-        # by one _certify call on the 1 x 1 system of the sum row
+        # by one _certify call on the 1 x 1 system of the sum row.  The n = 7 and
+        # n = 8 records added last were once answered 1.4e-17 above the optimum
         rng = np.random.default_rng(90 + n)
         ones = np.eye(n)
         records = [np.ones(n), np.zeros(n), ones[0], ones[-1]] + [
             rng.integers(0, 2, size=n).astype(float) for _ in range(4)
-        ]
+        ] + [np.array(a, float) for a in ([0, 1, 0, 0, 1, 0, 0], [1, 0, 1, 0, 0, 0, 0, 0]) if len(a) == n]
         calls = self.spy_certify(monkeypatch)
         for a in records:
             checks = len(calls)
             sol = qp_min_purity(MeasurementRecord(n, a))
-            assert abs(sol.objective - 0.5 ** (n - int(a.sum()))) <= 1e-12
+            assert sol.objective == 0.5 ** (n - int(a.sum()))
             assert sol.kkt_residual <= 1e-12
             if a.all():
                 assert len(calls) == checks + 1 and sol.iterations == 1
