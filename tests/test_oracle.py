@@ -170,13 +170,15 @@ class TestQp:
         # an a_k of exactly 0 or 1 leaves the optimum uniform on the 2^zeros
         # eigenvalues that fit the pinned bits; the ones are removed before the
         # solve, so the all-ones record sweeps once and certifies lambda_0 = 1
-        # by one _certify call on the 1 x 1 system of the sum row.  The n = 7 and
-        # n = 8 records added last were once answered 1.4e-17 above the optimum
+        # by one _certify call on the 1 x 1 system of the sum row.  The two fixed
+        # records make the support system singular unless their pinned bits are
+        # removed before the solve
         rng = np.random.default_rng(90 + n)
         ones = np.eye(n)
+        fixed = ([0, 1, 0, 0, 1, 0, 0], [1, 0, 1, 0, 0, 0, 0, 0])
         records = [np.ones(n), np.zeros(n), ones[0], ones[-1]] + [
             rng.integers(0, 2, size=n).astype(float) for _ in range(4)
-        ] + [np.array(a, float) for a in ([0, 1, 0, 0, 1, 0, 0], [1, 0, 1, 0, 0, 0, 0, 0]) if len(a) == n]
+        ] + [np.array(a, float) for a in fixed if len(a) == n]
         calls = self.spy_certify(monkeypatch)
         for a in records:
             checks = len(calls)
