@@ -56,7 +56,7 @@ class CoeffVector:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values))
         _check_length(self.n, self.values, "coefficient vector")
-        if abs(self.values[0] - 1.0) > 1e-9:
+        if not abs(self.values[0] - 1.0) <= 1e-9:  # NaN fails this comparison too
             raise ValueError(f"c[0] must be 1 (unit trace), got {self.values[0]!r}")
 
 
@@ -129,8 +129,8 @@ def twirl(rho: np.ndarray, graph: GraphSpec) -> CoeffVector:
         c[i] = Re sum_k sigma[k^i, k],    sigma = rho o u u^T,
 
     one gather over all (i, k) pairs, summed in the dtype of rho.  The real
-    part is tr(rho S_i) only for Hermitian rho, so this requires unit trace
-    and max|rho - rho^dagger| <= 1e-9, and raises ValueError past either.
+    part is tr(rho S_i) only for Hermitian rho, so this requires unit trace and
+    max|rho - rho^dagger| <= 1e-9, and raises ValueError past either or on NaN.
     """
     if graph.n > DENSE_CAP:
         raise DenseCapExceeded(graph.n, "twirl")
@@ -138,10 +138,10 @@ def twirl(rho: np.ndarray, graph: GraphSpec) -> CoeffVector:
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix, got {rho.shape}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-9:
+    if not abs(tr - 1.0) <= 1e-9:  # NaN fails this comparison too
         raise ValueError(f"trace {tr:.12g} differs from 1 by more than 1e-9")
     skew = float(np.abs(rho - rho.conj().T).max())
-    if skew > 1e-9:
+    if not skew <= 1e-9:
         raise ValueError(f"rho is not Hermitian: max|rho - rho^dagger| = {skew:.3g} above 1e-9")
     k = np.arange(dim)
     inside = np.zeros_like(k)

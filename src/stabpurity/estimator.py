@@ -13,8 +13,9 @@ whose spectrum consists of lambda_0 = (sum_k a_k - n + 2) / 2, the n values
 (1 - a_k) / 2 at the single-bit indices, and zeros elsewhere.  Everything the
 estimator reports is therefore O(n) work on Python floats, and the optimality
 certificate O(n log n); no 2^n object is built and numpy is never imported.
-That spectrum is derived in one place, :func:`_spectrum`; purity, error bars,
-entropy and certificate all read it from there (through
+That spectrum is derived in one place, :func:`_spectrum`, as one tuple
+(lambda_0, s_1, ..., s_n); purity (its sum of squares, :func:`_purity`), error
+bars, entropy and certificate all read that tuple (through
 :func:`_feasible_spectrum` where the gate below applies).
 
 Each quantity has one public entrance: p_min, its error bars and the
@@ -44,8 +45,10 @@ and ``singles`` refer to the sign-normalized generators.
 compare by value; the validated record and ``PurityEstimate`` stay dataclasses.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -151,31 +154,25 @@ def binary_entropy(p: float) -> float:
     return out
 
 
-def _spectrum(a: tuple) -> tuple[float, tuple]:
-    """lambda_0 and the single-bit eigenvalues (1 - a_k)/2 of the closed form.
+def _spectrum(a: tuple) -> tuple:
+    """The closed form's nonzero spectrum (lambda_0, s_1, ..., s_n), s_k = (1 - a_k)/2.
 
     lambda_0 = (2 - n + sum(a))/2 is one exact sum of exact terms, rounded once.
     """
-    return math.fsum((2.0 - len(a), *a)) / 2.0, tuple([(1.0 - x) / 2.0 for x in a])
+    return (math.fsum((2.0 - len(a), *a)) / 2.0, *[(1.0 - x) / 2.0 for x in a])
 
 
-def _purity(lam0: float, singles: tuple) -> float:
-    return math.fsum((lam0 * lam0, *map(mul, singles, singles)))
+def _purity(spectrum: tuple) -> float:
+    """The sum of squares of a spectrum, rounded once."""
+    return math.fsum(map(mul, spectrum, spectrum))
 
 
-def _feasible_spectrum(a: tuple) -> tuple[float, tuple]:
+def _feasible_spectrum(a: tuple) -> tuple:
     """The spectrum of a record at or above the gate; raises InfeasibleRecord below it."""
-    lam0, singles = _spectrum(a)
-    if lam0 < 0.0:
-        raise InfeasibleRecord(lam0, a)
-    return lam0, singles
-
-
-def _two_smallest(a: tuple) -> tuple[float, float]:
-    """The two smallest entries of a (len(a) >= 2), by an O(n) scan."""
-    first = min(a)
-    i = a.index(first)
-    return first, min(a[:i] + a[i + 1 :])
+    spectrum = _spectrum(a)
+    if spectrum[0] < 0.0:
+        raise InfeasibleRecord(spectrum[0], a)
+    return spectrum
 
 
 def _is_optimal(a: tuple) -> bool:
@@ -189,9 +186,7 @@ def _is_optimal(a: tuple) -> bool:
     with a_min1, a_min2 the two smallest expectations (for n = 1 there is no
     two-bit index and the condition is vacuous).
     """
-    if len(a) < 2:
-        return True
-    return math.fsum((-len(a), *a, *_two_smallest(a))) >= 0.0
+    return len(a) < 2 or math.fsum((-len(a), *a, *heapq.nsmallest(2, a))) >= 0.0
 
 
 def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> PurityEstimate:
@@ -220,11 +215,11 @@ def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> Pur
     so a pair summing below 1 already gets the "not optimal" warning.
     """
     a = tuple(map(abs, record.a))
-    lam0, singles = _feasible_spectrum(a)
-    p_min = _purity(lam0, singles)
-    p_upper = max(p_min, _purity(*_spectrum([x if x < 1.0 else 1.0 for x in map(add, a, record.delta_a)])))
+    spectrum = _feasible_spectrum(a)
+    p_min = _purity(spectrum)
+    p_upper = max(p_min, _purity(_spectrum([x if x < 1.0 else 1.0 for x in map(add, a, record.delta_a)])))
     low = [x if x > 0.0 else 0.0 for x in map(sub, a, record.delta_a)]
-    p_lower = min(p_min, _purity(*_spectrum(low))) if _is_optimal(low) else None
+    p_lower = min(p_min, _purity(_spectrum(low))) if _is_optimal(low) else None
 
     if graph is not None and graph.n != len(a):
         raise ValueError("graph and record disagree on generator count")
@@ -243,8 +238,8 @@ def min_purity(record: MeasurementRecord, graph: GraphSpec | None = None) -> Pur
         p_min=p_min,
         p_lower=p_lower,
         p_upper=p_upper,
-        lambda0=lam0,
-        singles=singles,
+        lambda0=spectrum[0],
+        singles=spectrum[1:],
         warnings=tuple(warnings),
     )
 
@@ -272,15 +267,12 @@ def kkt_certificate(record: MeasurementRecord) -> KktCertificate:
     the gate.
     """
     a = tuple(map(abs, record.a))
-    lam0, s = _feasible_spectrum(a)
+    lam0, *s = _feasible_spectrum(a)
     nu_singles = [sk - lam0 for sk in s]
     nu = (-2.0 * lam0 - math.fsum(nu_singles), *nu_singles)
 
-    min_mu, top = 0.0, 0.0
-    for m, sk in enumerate(sorted(s, reverse=True)):
-        top += sk
-        if m:
-            min_mu = min(min_mu, 2.0 * (m * lam0 - top))
+    tops = accumulate(sorted(s, reverse=True))  # S_1, S_2, ..., S_n
+    min_mu = min([0.0, *(2.0 * (m * lam0 - top) for m, top in enumerate(tops) if m)])
     return KktCertificate(nu=nu, min_mu=min_mu, valid=_is_optimal(a))
 
 
@@ -295,6 +287,6 @@ def estimate_entropy(record: MeasurementRecord) -> EntropyEstimate:
     It has no feasibility gate.
     """
     a = tuple(map(abs, record.a))
-    lam0, singles = _spectrum(a)
-    s_lower = None if lam0 < 0.0 else math.fsum([-s * math.log(s) for s in (lam0, *singles) if s > 0.0])
+    spectrum = _spectrum(a)
+    s_lower = None if spectrum[0] < 0.0 else math.fsum([-s * math.log(s) for s in spectrum if s > 0.0])
     return EntropyEstimate(s_lower, math.fsum(map(binary_entropy, [(1.0 + ak) / 2.0 for ak in a])))

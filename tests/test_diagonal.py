@@ -6,6 +6,7 @@ from stabpurity.diagonal import (
     DenseCapExceeded,
     Spectrum,
     coefficients,
+    dephased_coefficients,
     eigenvalues,
     purity,
     twirl,
@@ -44,8 +45,13 @@ def unit_coeffs(n):
 
 class TestVectors:
     def test_coeff_vector_requires_unit_leading_entry(self):
-        with pytest.raises(ValueError, match=r"c\[0\]"):
-            CoeffVector(2, [0.5, 0, 0, 0])
+        for make in (
+            lambda: CoeffVector(2, [0.5, 0, 0, 0]),
+            lambda: CoeffVector(1, [np.nan, 0.5]),  # NaN fails the comparison too
+            lambda: dephased_coefficients(PATH2, np.nan),
+        ):
+            with pytest.raises(ValueError, match=r"c\[0\]"):
+                make()
 
     def test_coeff_vector_requires_power_of_two_length(self):
         with pytest.raises(ValueError, match="length"):
@@ -148,8 +154,9 @@ class TestTwirl:
         )
 
     def test_requires_unit_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            twirl(np.eye(4), PATH2)
+        for rho in (np.eye(4), np.full((4, 4), np.nan)):  # NaN fails the comparison too
+            with pytest.raises(ValueError, match="trace"):
+                twirl(rho, PATH2)
 
     def test_requires_hermitian(self):
         rho = np.eye(4, dtype=complex) / 4
@@ -158,6 +165,9 @@ class TestTwirl:
             twirl(rho, PATH2)
         rho[1, 0] = -0.1j + 5e-10  # within the 1e-9 slack
         twirl(rho, PATH2)
+        rho[1, 0] = np.nan  # NaN fails the comparison too
+        with pytest.raises(ValueError, match="Hermitian"):
+            twirl(rho, PATH2)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="expected a 4 x 4 matrix"):

@@ -74,12 +74,12 @@ def _corpus() -> dict:
         "infeasible": {"n": 3, "a": [0.2, 0.2, 0.2]},
         "band": {"n": 3, "a": [0.9, 0.45, 0.45], "delta_a": [0.01, 0.02, 0.03]},
         "lower-shift-infeasible": {"n": 3, "a": [0.4, 0.35, 0.3], "delta_a": [0.1, 0.1, 0.1]},
-        "graph-pairwise-warning": {
+        "graph-path-3": {
             "n": 3,
             "a": [0.95, 0.3, 0.6],
             "graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
         },
-        "graph-pairwise-clear": {
+        "graph-star-3": {
             "n": 3,
             "a": [0.95, 0.4, 0.5],
             "graph": {"n": 3, "edges": [[0, 1], [0, 2]]},
@@ -157,6 +157,21 @@ def test_estimate_bars_hold_p_min():
         assert warned == (low is None), path.stem
         checked += 1
     assert checked >= 20
+
+
+def test_corpus_files_are_the_runs():
+    """The committed files are exactly what ``--regenerate`` writes: one input per
+    corpus document, one expected file per run plus exit_codes.json, and an exit
+    code per run, so a renamed or dropped run leaves no orphan behind."""
+    docs = _corpus()
+    assert sorted(p.name for p in INPUTS.iterdir()) == sorted(f"{stem}.json" for stem in docs)
+    for stem, doc in docs.items():
+        assert (INPUTS / f"{stem}.json").read_text(encoding="utf-8") == json.dumps(doc) + "\n", stem
+    stdout_runs = _stdout_runs()
+    files = {f"{run_id}.out" for run_id in stdout_runs}
+    files |= {f"{run_id}.{kind}.json" for run_id in SIMULATE_RUNS for kind in ("measurement", "truth")}
+    assert sorted(p.name for p in EXPECTED.iterdir()) == sorted(files | {"exit_codes.json"})
+    assert set(_exit_codes()) == set(stdout_runs) | set(SIMULATE_RUNS)
 
 
 @pytest.mark.parametrize("run_id", sorted(SIMULATE_RUNS))

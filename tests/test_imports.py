@@ -71,7 +71,7 @@ class TestNoNumpy:
             (["estimate", "--input", str(GOLDEN_INPUTS / "seeded-06.json")], 0),
             (["estimate", "--input", str(GOLDEN_INPUTS / "n11.json"), "--json"], 0),
             (["estimate", "--input", str(GOLDEN_INPUTS / "infeasible.json"), "--json"], 2),
-            (["estimate", "--input", str(GOLDEN_INPUTS / "graph-pairwise-warning.json"), "--json"], 0),
+            (["estimate", "--input", str(GOLDEN_INPUTS / "graph-path-3.json"), "--json"], 0),
         ],
         ids=["json", "text", "above-dense-cap", "infeasible", "graph"],
     )

@@ -232,6 +232,12 @@ class TestNumpyStream:
         triangle = Scripted([0.0, 0.5]).btpe(1000, 0.3)
         assert Scripted([0.95, 0.0, 0.0, 0.5]).btpe(1000, 0.3) == triangle
         assert Scripted([0.99, 0.0, 0.0, 0.5]).btpe(1000, 0.3) == triangle
+        # a left-tail proposal below 0 (v = 1e-300) is rejected before the
+        # acceptance product, whose a / i would divide by zero at i = 0
+        assert Scripted([0.95, 1e-300, 0.0, 0.5]).btpe(1000, 0.3) == triangle
+        # u = 1 - 2^-53 outlasts the search past ``bound``, which restarts it
+        restarted = Scripted([1.0 - 2.0**-53, 0.5]).inversion(1000, 0.01)
+        assert restarted == Scripted([0.5]).inversion(1000, 0.01)
 
     def test_sampled_record_matches_numpy_draws(self):
         a_true = np.array([0.9, -0.4, 0.0, 1.0, -1.0])
