@@ -163,11 +163,7 @@ def build_report(record, graph, meta, digest) -> dict:
         "p_lower": pur.p_lower,
         "p_upper": pur.p_upper,
         "lambda0": pur.lambda0,
-        "spectrum": {
-            "lambda0": pur.lambda0,
-            "singles": list(pur.singles),
-            "zero_multiplicity": (1 << record.n) - record.n - 1,
-        },
+        "spectrum": {"zero_multiplicity": (1 << record.n) - record.n - 1},
         "s_lower": ent.s_lower,
         "s_max": ent.s_max,
         "warnings": list(pur.warnings),
@@ -176,26 +172,26 @@ def build_report(record, graph, meta, digest) -> dict:
     }
 
 
-def _print_report(report: dict, out) -> None:
+def _print_report(report: dict) -> None:
     def fmt(x):
         return "n/a" if x is None else f"{x:.12g}"
 
-    print(f"n                = {report['n']}", file=out)
-    print(f"a (normalized)   = {[round(x, 6) for x in report['a']]}", file=out)
-    print(f"signs flipped    = {report['signs_flipped']}", file=out)
-    print(f"p_min            = {fmt(report['p_min'])}", file=out)
-    print(f"p_lower, p_upper = {fmt(report['p_lower'])}, {fmt(report['p_upper'])}", file=out)
-    print(f"lambda0          = {fmt(report['lambda0'])}", file=out)
-    print(f"s_lower          = {fmt(report['s_lower'])}", file=out)
-    print(f"s_max            = {fmt(report['s_max'])}", file=out)
+    print(f"n                = {report['n']}")
+    print(f"a (normalized)   = {[round(x, 6) for x in report['a']]}")
+    print(f"signs flipped    = {report['signs_flipped']}")
+    print(f"p_min            = {fmt(report['p_min'])}")
+    print(f"p_lower, p_upper = {fmt(report['p_lower'])}, {fmt(report['p_upper'])}")
+    print(f"lambda0          = {fmt(report['lambda0'])}")
+    print(f"s_lower          = {fmt(report['s_lower'])}")
+    print(f"s_max            = {fmt(report['s_max'])}")
     cert = report["certificate"]
     if cert["valid"] is None:
         verdict = f"skipped ({cert['skipped']})"
     else:
         verdict = f"{'valid' if cert['valid'] else 'not valid'}, min_mu = {fmt(cert['min_mu'])}"
-    print(f"certificate      = {verdict}", file=out)
+    print(f"certificate      = {verdict}")
     for w in report["warnings"]:
-        print(f"warning: {w}", file=out)
+        print(f"warning: {w}")
 
 
 def cmd_estimate(args) -> int:
@@ -216,7 +212,7 @@ def cmd_estimate(args) -> int:
     if args.json or code:
         sys.stdout.write(_json_text(doc))
     else:
-        _print_report(doc, sys.stdout)
+        _print_report(doc)
     return code
 
 
@@ -240,6 +236,7 @@ def cmd_simulate(args) -> int:
         "graph": args.graph,
         "gamma_t": args.gamma_t,
     }
+    measurement = {"n": graph.n, "graph": graph.to_dict(), "meta": meta}
     exact = exact_record(graph, args.gamma_t)
     if args.shots == "exact":
         record = exact
@@ -253,16 +250,9 @@ def cmd_simulate(args) -> int:
             raise MalformedInput("--shots must be between 1 and 2**63 - 1")
         record = sample_measurements(exact.a, shots, args.seed)
         meta.update({"shots": shots, "seed": args.seed, "rng": RNG_ALGORITHM})
-
-    measurement = {
-        "n": graph.n,
-        "graph": graph.to_dict(),
-        "a": list(record.a),
-        "delta_a": list(record.delta_a),
-        "meta": meta,
-    }
-    if args.shots != "exact":
         measurement["shots"] = [shots] * graph.n
+
+    measurement.update(a=list(record.a), delta_a=list(record.delta_a))
     truth = {
         "n": graph.n,
         "graph": graph.to_dict(),
@@ -359,7 +349,7 @@ def cmd_oracle_check(args) -> int:
                 f"{b['max_closed_minus_qp']:.3e} (informational)"
             )
         print("ok" if summary["ok"] else "TOLERANCE BREACH")
-    if not summary["ok"] and failure is not None:
+    if failure is not None:
         _write_json(failure, args.failure_output)
         print(f"failing instance written to {args.failure_output}", file=sys.stderr)
     return 0 if summary["ok"] else 3

@@ -19,9 +19,12 @@ from stabpurity.cli import (
     main,
     replay_instance,
 )
+from stabpurity.estimator import InfeasibleRecord, min_purity
 from stabpurity.simulator import reference_table
+from support import signed_records
 
 A01 = math.exp(-0.1)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_json(path, obj):
@@ -226,6 +229,34 @@ class TestEstimate:
         code, out, _ = run(capsys, "estimate", "--input", f)
         assert code == 0
         assert "p_min" in out and "s_max" in out
+
+    def test_report_determines_the_dropped_spectrum(self):
+        # the report states lambda0 once and no singles: each s_k is (1 - a_k)/2 of its a, bit for bit
+        def check(report, record):
+            pur = min_purity(record)
+            assert [(1.0 - x) / 2.0 for x in report["a"]] == list(pur.singles)
+            assert report["lambda0"] == pur.lambda0
+            assert report["spectrum"] == {"zero_multiplicity": 2**record.n - record.n - 1}
+
+        codes = json.loads((GOLDEN / "expected" / "exit_codes.json").read_text(encoding="utf-8"))
+        runs = [stem for stem in (p.stem for p in sorted((GOLDEN / "inputs").glob("*.json")))
+                if codes[f"estimate-{stem}-json"] == 0]
+        assert runs
+        for stem in runs:
+            record, _, _, _ = load_measurement(str(GOLDEN / "inputs" / f"{stem}.json"))
+            check(json.loads((GOLDEN / "expected" / f"estimate-{stem}-json.out").read_text(encoding="utf-8")), record)
+
+        @given(signed_records(12))
+        @settings(max_examples=200)
+        def drawn(records):
+            record = records[0]
+            try:
+                report = build_report(record, None, {}, "")
+            except InfeasibleRecord:
+                return
+            check(json.loads(json.dumps(report)), record)
+
+        drawn()
 
 
 class TestSimulate:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -571,3 +572,80 @@ class TestValueTypes:
         copy = dataclasses.replace(est, p_min=0.5)
         assert copy.p_min == 0.5
         assert dataclasses.replace(copy, p_min=est.p_min) == est
+
+
+#: Specials of the last corpus group: both ends, the smallest subnormal and the float below 1.
+SPECIAL_A = (0.0, 1.0, -1.0, 5e-324, 1.0 - 2.0**-53)
+
+
+def _deficit_record(rng, n: int, total: float) -> np.ndarray:
+    """a = 1 - d with d >= 0 summing to ``total`` (at most 2, so a stays in [-1, 1])."""
+    d = rng.random(n)
+    return np.clip(1.0 - d * (total / d.sum()), -1.0, 1.0)
+
+
+def _gate_record(rng, n: int) -> np.ndarray:
+    """sum(d) = 2, on the feasibility gate, with one entry moved by an ulp up or down."""
+    a = _deficit_record(rng, n, 2.0)
+    k = rng.integers(n)
+    a[k] = np.nextafter(a[k], 0.0 if rng.random() < 0.5 else math.copysign(1.0, a[k]))
+    return a
+
+
+def _special_record(rng, n: int) -> np.ndarray:
+    a = np.array(SPECIAL_A)[rng.integers(len(SPECIAL_A), size=n)]
+    uniform = rng.random(n) < 0.3
+    a[uniform] = rng.uniform(-1.0, 1.0, size=uniform.sum())
+    return a
+
+
+#: Magnitude draws of the five corpus groups.
+LIBRARY_GROUPS = {
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, size=n),
+    "gate": _gate_record,
+    "optimal": lambda rng, n: _deficit_record(rng, n, rng.uniform(0.0, min(1.0, 2.0 / n))),
+    "band": lambda rng, n: _deficit_record(rng, n, rng.uniform(1.0, 2.0)),
+    "special": _special_record,
+}
+
+#: sha256 of each group's results, hashed as test_library_bits_on_a_seeded_corpus says.
+LIBRARY_DIGESTS = {
+    "uniform": "05e23b4c3a55a75f304df001f959d4a5a27f2d2f6a30f295eaf807e9de9b6396",
+    "gate": "724d286b0abbc1b96db7f072323f85dc66f52ff4c02fe932413e813393d60ae6",
+    "optimal": "0f865e3866a0c50e1241b6146830c88a53dfd445d64d78f1dfa23cd4eecac97e",
+    "band": "096b8a5e01e2e02f6004e4eb42993a1ffac1a4d384fb0c4532f4eeb307ea9919",
+    "special": "d9670ede2810a3be543d68bd581abfa4a88dfcd759e4851020f32f8e995fce3d",
+}
+
+
+def _library_digests() -> dict:
+    digests = {}
+    for seed, (group, draw) in enumerate(LIBRARY_GROUPS.items()):
+        rng = np.random.default_rng(3600 + seed)
+        h = hashlib.sha256()
+        for _ in range(1000):
+            n = int(rng.integers(1, 61))
+            a = draw(rng, n) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            delta = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 0.1, size=n))
+            rec = MeasurementRecord(n, a.tolist(), delta.tolist())
+            try:
+                text = repr((min_purity(rec), kkt_certificate(rec), estimate_entropy(rec)))
+            except InfeasibleRecord as exc:
+                text = str(exc) + repr(estimate_entropy(rec))
+            h.update(text.encode())
+        digests[group] = h.hexdigest()
+    return digests
+
+
+def test_library_bits_on_a_seeded_corpus():
+    """Every bit of min_purity, kkt_certificate and estimate_entropy on 5,000 seeded
+    signed records, in five groups of 1,000 with n = 1..60: uniform, at the
+    feasibility gate, optimal, band, and entries from SPECIAL_A (30% uniform).
+    delta_a is uniform on [0, 0.1] with 20% zeros.  An infeasible record hashes
+    its InfeasibleRecord message and its entropies.
+
+    A change that moves these bits on purpose (a correctly rounded p_min, or
+    entropies read from (1 - |a_k|)/2) updates LIBRARY_DIGESTS and says in
+    CHANGES.md which groups moved and why.
+    """
+    assert _library_digests() == LIBRARY_DIGESTS

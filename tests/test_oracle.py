@@ -532,6 +532,9 @@ class TestPolish:
 
 class TestOracleTrials:
     def test_breach_always_has_failure_document(self, monkeypatch):
+        # failure is set exactly when ok is false, so the CLI writes the file on failure alone
+        clean = run_oracle_trials(2, 1, 2, seed=0)
+        assert clean["ok"] and clean["failure"] is None
         # an exact gap of 0.0 still breaches a negative tolerance
         monkeypatch.setattr(oracle, "instance_gap", lambda kind, n, x: 0.0)
         monkeypatch.setitem(TOLERANCES, "qp", -1.0)
